@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet gcvet build test bench lint cluster-race cluster-demo chaos crash-demo \
+.PHONY: check fmt vet gcvet build test bench bench-check lint cluster-race cluster-demo chaos crash-demo \
 	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
 
 # check is the full gate: formatting, vet, build, the race-enabled
@@ -60,6 +60,13 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-check vets and tests the checkd benchmark module. It lives in its
+# own module (checkbench/go.mod, replacing repro with this checkout), so
+# neither ./... nor make check builds it; a signature change in the gcl,
+# core or service calls it makes would otherwise break it silently.
+bench-check:
+	cd checkbench && $(GO) vet ./... && $(GO) test ./...
 
 # cluster-race gives the message-passing runtime a dedicated
 # race-detector pass: it is the most concurrent code in the repository

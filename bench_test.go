@@ -17,6 +17,8 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/gcl"
+	"repro/internal/gcl/analysis"
 	"repro/internal/mc"
 	"repro/internal/ring"
 	"repro/internal/service"
@@ -275,8 +277,56 @@ func BenchmarkReachability(b *testing.B) {
 	}
 }
 
-// BenchmarkGCLCompile measures the guarded-command pipeline end to end.
+// BenchmarkGCLCompile measures the guarded-command pipeline end to end
+// (pipeline), and the enumeration layer alone on the ring families a
+// cold check submits (D3, A3 and K-state with K = 3, each at N = 6).
 func BenchmarkGCLCompile(b *testing.B) {
+	b.Run("pipeline", benchGCLPipeline)
+	for _, fam := range []struct{ name, src string }{
+		{"D3-N6", ring.Dijkstra3GCL(6)},
+		{"A3-N6", ring.AggressiveThreeGCL(6)},
+		{"K3-N6", ring.KStateGCL(6, 3)},
+	} {
+		prog, err := gcl.Parse(fam.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gcl.CompileProgram("bench", prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLintExact measures analysis.Analyze with the enumeration tier
+// on the same ring families.
+func BenchmarkLintExact(b *testing.B) {
+	for _, fam := range []struct{ name, src string }{
+		{"D3-N6", ring.Dijkstra3GCL(6)},
+		{"K3-N6", ring.KStateGCL(6, 3)},
+	} {
+		prog, err := gcl.Parse(fam.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := analysis.Analyze(prog, analysis.Options{Exact: true})
+				if err != nil || !res.Exact {
+					b.Fatalf("exact tier did not complete: %v", err)
+				}
+			}
+		})
+	}
+}
+
+func benchGCLPipeline(b *testing.B) {
+	b.ReportAllocs()
 	const src = `
 var c0 : 0..2;
 var c1 : 0..2;

@@ -12,8 +12,9 @@ import (
 // candidates-per-second budget both depend on it — an unmetered sweep
 // is a request that cannot be cancelled.
 //
-// The rule: an exported function in internal/mc or internal/core whose
-// body contains a state-space loop — a for/range statement whose
+// The rule: an exported function in internal/mc, internal/core or
+// internal/gcl (whose enumeration is the first sweep of every check)
+// whose body contains a state-space loop — a for/range statement whose
 // subtree touches a type from internal/system or internal/bitset —
 // must (a) accept a *mc.Gas or context.Context parameter and (b)
 // charge inside the loop: call Tick/Charge/Err on a Gas, consult
@@ -22,13 +23,14 @@ import (
 // metered work, Foo delegates with a nil (unlimited) meter.
 var GasLoop = &Analyzer{
 	Name: "gasloop",
-	Doc:  "exported mc/core functions with state-space loops must take and charge a *mc.Gas",
+	Doc:  "exported mc/core/gcl functions with state-space loops must take and charge a *mc.Gas",
 	Run:  runGasLoop,
 }
 
 var gasLoopGated = []string{
 	"internal/mc",
 	"internal/core",
+	"internal/gcl",
 }
 
 func runGasLoop(pass *Pass) {

@@ -17,6 +17,14 @@ func TestGasLoop(t *testing.T) {
 	runFixture(t, "repro/internal/mc", GasLoop)
 }
 
+func TestGasLoopGCLFlagged(t *testing.T) {
+	runFixture(t, "unmetered/internal/gcl", GasLoop)
+}
+
+func TestGasLoopGCLClean(t *testing.T) {
+	runFixture(t, "repro/internal/gcl", GasLoop)
+}
+
 func TestMapIter(t *testing.T) {
 	runFixture(t, "repro/internal/cluster/chaos", MapIter)
 }

@@ -2,6 +2,12 @@
 // system, giving gasloop fixtures a state-space type to touch.
 package system
 
+// Var is one finite-domain variable of a state space.
+type Var struct {
+	Name string
+	Card int
+}
+
 // System is a finite transition system.
 type System struct {
 	succ [][]int

@@ -224,21 +224,19 @@ func describeBadAnchor(a *system.System, as int, legit *bitset.Set) string {
 }
 
 // cyclicComponents marks the SCC indices that contain a cycle (size > 1,
-// or a single state with a self-loop).
-func cyclicComponents(c *system.System, comp []int) map[int]bool {
-	size := make(map[int]int)
+// or a single state with a self-loop). comp holds component indices in
+// [0, n) or −1, as mc.SCCsGas returns them.
+func cyclicComponents(c *system.System, comp []int) []bool {
+	size := make([]int, len(comp))
 	for _, ci := range comp {
-		size[ci]++
+		if ci >= 0 {
+			size[ci]++
+		}
 	}
-	cyclic := make(map[int]bool, len(size))
-	for s := 0; s < c.NumStates(); s++ {
-		ci := comp[s]
-		if size[ci] > 1 || c.HasTransition(s, s) {
-			if size[ci] > 1 {
-				cyclic[ci] = true
-			} else if c.HasTransition(s, s) {
-				cyclic[ci] = true
-			}
+	cyclic := make([]bool, len(comp))
+	for s, ci := range comp {
+		if ci >= 0 && (size[ci] > 1 || c.HasTransition(s, s)) {
+			cyclic[ci] = true
 		}
 	}
 	return cyclic

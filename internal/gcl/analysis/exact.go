@@ -14,9 +14,10 @@ import (
 // their confidence to exact, often with a witness state), downgrades
 // "may" warnings that no concrete state realizes, and contributes the
 // diagnostics that need real reachability (GCL004) or co-enabledness
-// (GCL007). The sweep mirrors gcl.CompileProgram's loop but tolerates
-// the defects compilation rejects: an out-of-domain assignment
-// becomes a diagnostic with a witness instead of a fatal error.
+// (GCL007). The sweep runs on the same lowered program as
+// gcl.CompileProgram (a gcl.Cursor) but tolerates the defects
+// compilation rejects: an out-of-domain assignment becomes a
+// diagnostic with a witness instead of a fatal error.
 
 // exactFacts aggregates everything one sweep learns.
 type exactFacts struct {
@@ -30,11 +31,11 @@ type exactFacts struct {
 	stutters   []bool      // per action: identity in every enabled state
 	escapes    []escapeSet // per action
 	guardError []int       // per action: states where guard evaluation errors
-	overlaps   map[[2]int]*overlap
+	overlaps   []overlap   // numA×numA, row-major; only i < j is used
 }
 
 type escapeSet struct {
-	// byAssign maps assignment index -> count and first witness state.
+	// Indexed by assignment: count and first witness state.
 	count   []int
 	witness []int
 }
@@ -48,7 +49,8 @@ type overlap struct {
 // It returns nil facts when the budget runs out: partial sweeps prove
 // nothing.
 func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
-	sp := gcl.SpaceOf(prog)
+	l := gcl.Lower(prog)
+	sp := l.Space()
 	n := sp.Size()
 	numA := len(prog.Actions)
 	f := &exactFacts{
@@ -59,7 +61,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		stutters:   make([]bool, numA),
 		escapes:    make([]escapeSet, numA),
 		guardError: make([]int, numA),
-		overlaps:   make(map[[2]int]*overlap),
+		overlaps:   make([]overlap, numA*numA),
 	}
 	for ai := range prog.Actions {
 		f.stutters[ai] = true
@@ -69,21 +71,22 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		}
 	}
 
-	// Successor lists are needed only for reachability.
-	var succ [][]int32
+	// Successor rows, flat (succ[off[s]:off[s+1]]), are needed only for
+	// reachability.
+	var off, succ []int32
 	if prog.Init != nil {
-		succ = make([][]int32, n)
+		off = make([]int32, n+1)
+		succ = make([]int32, 0, n)
 	}
 	initStates := make([]int, 0, 16)
 
-	env := make(system.Vals, len(prog.Vars))
-	next := make(system.Vals, len(prog.Vars))
 	enabledHere := make([]int, 0, numA)
 	nextOf := make([]int, numA) // successor state per enabled action, -1 if escaping
-	for s := 0; s < n; s++ {
-		env = sp.Decode(s, env)
+	c := l.NewCursor()
+	for c.Next() {
+		s := c.State()
 		if prog.Init != nil {
-			isInit, err := gcl.EvalBool(prog, prog.Init, env)
+			isInit, err := c.Init()
 			if err == nil && isInit {
 				f.initCount++
 				initStates = append(initStates, s)
@@ -94,8 +97,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 			if err := gas.Tick(1); err != nil {
 				return nil, err
 			}
-			a := &prog.Actions[ai]
-			on, err := gcl.EvalBool(prog, a.Guard, env)
+			on, err := c.Enabled(ai)
 			if err != nil {
 				f.guardError[ai]++
 				continue
@@ -104,50 +106,30 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				continue
 			}
 			f.enabled[ai]++
-			copy(next, env)
-			identity := true
-			escaped := false
-			for asi, as := range a.Assigns {
-				vi := identIndex(prog, as.Name)
-				decl := prog.Vars[vi]
-				v, err := gcl.Eval(prog, as.Expr, env)
-				if err != nil {
-					// RHS errors (division by zero): no value, no successor.
-					escaped = true
-					identity = false
-					continue
-				}
-				lo, hi := decl.Lo, decl.Hi
-				if decl.IsBool {
-					lo, hi = 0, 1
-				}
-				if v < lo || v > hi {
-					if f.escapes[ai].count[asi] == 0 {
-						f.escapes[ai].witness[asi] = s
+			// Right-hand-side errors (division by zero) yield no value and
+			// no successor; escaping values are recorded per assignment.
+			ns, identity := c.Exec(ai)
+			if ns < 0 {
+				for asi := range prog.Actions[ai].Assigns {
+					if c.Escaped(ai, asi) {
+						if f.escapes[ai].count[asi] == 0 {
+							f.escapes[ai].witness[asi] = s
+						}
+						f.escapes[ai].count[asi]++
 					}
-					f.escapes[ai].count[asi]++
-					escaped = true
-					identity = false // the escaping value differs from the in-domain current one
-					continue
 				}
-				enc := v - lo
-				if enc != env[vi] {
-					identity = false
-				}
-				next[vi] = enc
 			}
 			if !identity {
 				f.stutters[ai] = false
 			}
-			nextOf[ai] = -1
-			if !escaped {
-				ns := sp.Encode(next)
-				nextOf[ai] = ns
-				if succ != nil {
-					succ[s] = append(succ[s], int32(ns))
-				}
+			nextOf[ai] = ns
+			if ns >= 0 && off != nil {
+				succ = append(succ, int32(ns))
 			}
 			enabledHere = append(enabledHere, ai)
+		}
+		if off != nil {
+			off[s+1] = int32(len(succ))
 		}
 		// Co-enabled pairs that disagree on the successor state: the
 		// daemon's choice is observable. Pairs with identical successors
@@ -159,11 +141,9 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				if nextOf[i] == nextOf[j] {
 					continue
 				}
-				key := [2]int{i, j}
-				o := f.overlaps[key]
-				if o == nil {
-					o = &overlap{witness: s}
-					f.overlaps[key] = o
+				o := &f.overlaps[i*numA+j]
+				if o.count == 0 {
+					o.witness = s
 				}
 				o.count++
 			}
@@ -182,7 +162,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		for len(queue) > 0 {
 			s := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, ns := range succ[s] {
+			for _, ns := range succ[off[s]:off[s+1]] {
 				if err := gas.Tick(1); err != nil {
 					return nil, err
 				}
@@ -194,16 +174,16 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		}
 		// Second pass over reachable states to count per-action enabled
 		// occurrences within the reachable set.
-		for s := 0; s < n; s++ {
-			if !f.reachable[s] {
+		c := l.NewCursor()
+		for c.Next() {
+			if !f.reachable[c.State()] {
 				continue
 			}
-			env = sp.Decode(s, env)
 			for ai := range prog.Actions {
 				if err := gas.Tick(1); err != nil {
 					return nil, err
 				}
-				on, err := gcl.EvalBool(prog, prog.Actions[ai].Guard, env)
+				on, err := c.Enabled(ai)
 				if err == nil && on {
 					f.reachEnab[ai]++
 				}
@@ -266,14 +246,21 @@ func exactDiags(prog *gcl.Program, f *exactFacts) []Diag {
 			})
 		}
 	}
-	for key, o := range f.overlaps {
-		ai, aj := &prog.Actions[key[0]], &prog.Actions[key[1]]
-		diags = append(diags, Diag{
-			Pos: aj.Pos, Code: CodeOverlappingGuards, Severity: SevInfo, Confidence: ConfExact,
-			Msg: fmt.Sprintf("actions %q and %q are co-enabled with different successors in %d states (e.g. %s); the daemon's choice is observable",
-				ai.Name, aj.Name, o.count, state(o.witness)),
-			Related: []Related{{Pos: ai.Pos, Msg: fmt.Sprintf("action %q declared here", ai.Name)}},
-		})
+	numA := len(prog.Actions)
+	for i := 0; i < numA; i++ {
+		for j := i + 1; j < numA; j++ {
+			o := f.overlaps[i*numA+j]
+			if o.count == 0 {
+				continue
+			}
+			ai, aj := &prog.Actions[i], &prog.Actions[j]
+			diags = append(diags, Diag{
+				Pos: aj.Pos, Code: CodeOverlappingGuards, Severity: SevInfo, Confidence: ConfExact,
+				Msg: fmt.Sprintf("actions %q and %q are co-enabled with different successors in %d states (e.g. %s); the daemon's choice is observable",
+					ai.Name, aj.Name, o.count, state(o.witness)),
+				Related: []Related{{Pos: ai.Pos, Msg: fmt.Sprintf("action %q declared here", ai.Name)}},
+			})
+		}
 	}
 	return diags
 }

@@ -2,7 +2,10 @@ package gcl
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/bitset"
+	"repro/internal/mc"
 	"repro/internal/system"
 )
 
@@ -26,59 +29,64 @@ func Compile(name, src string) (*Compiled, error) {
 
 // CompileProgram checks and enumerates an already-parsed program.
 func CompileProgram(name string, prog *Program) (*Compiled, error) {
+	return CompileProgramGas(nil, name, prog)
+}
+
+// CompileProgramGas is CompileProgram under a meter: it ticks g once per
+// state×action, like the linter's exact tier, and returns g's error
+// (cancellation or budget exhaustion) instead of finishing the sweep.
+func CompileProgramGas(g *mc.Gas, name string, prog *Program) (*Compiled, error) {
 	if err := Check(prog); err != nil {
 		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
 	}
-	sp := SpaceOf(prog)
-	b := system.NewSpaceBuilder(name, sp)
-
-	env := make(system.Vals, len(prog.Vars))
-	next := make(system.Vals, len(prog.Vars))
-	for s := 0; s < sp.Size(); s++ {
-		env = sp.Decode(s, env)
-		if prog.Init == nil {
-			b.AddInit(s)
-		} else {
-			isInit, err := EvalBool(prog, prog.Init, env)
-			if err != nil {
-				return nil, evalFailure(sp, s, err)
-			}
-			if isInit {
-				b.AddInit(s)
-			}
+	l := Lower(prog)
+	sp := l.Space()
+	n := sp.Size()
+	off := make([]int, n+1)
+	succ := make([]int, 0, n)
+	init := bitset.New(n)
+	c := l.NewCursor()
+	for c.Next() {
+		s := c.State()
+		isInit, err := c.Init()
+		if err != nil {
+			return nil, evalFailure(sp, s, err)
+		}
+		if isInit {
+			init.Add(s)
 		}
 		for ai := range prog.Actions {
-			a := &prog.Actions[ai]
-			enabled, err := EvalBool(prog, a.Guard, env)
+			if err := g.Tick(1); err != nil {
+				return nil, err
+			}
+			enabled, err := c.Enabled(ai)
 			if err != nil {
 				return nil, evalFailure(sp, s, err)
 			}
 			if !enabled {
 				continue
 			}
-			copy(next, env)
-			for _, as := range a.Assigns {
-				v, err := Eval(prog, as.Expr, env) // pre-state: simultaneous semantics
-				if err != nil {
-					return nil, evalFailure(sp, s, err)
-				}
-				decl := prog.Vars[varIndex(prog, as.Name)]
-				enc, err := encodeValue(decl, v)
-				if err != nil {
-					return nil, &EvalError{Pos: as.Pos,
-						Msg:   fmt.Sprintf("action %q: %v", a.Name, err),
-						State: sp.StateString(s)}
-				}
-				next[varIndex(prog, as.Name)] = enc
+			t, _ := c.Exec(ai)
+			if t < 0 {
+				return nil, c.execError(ai)
 			}
-			b.AddTransition(s, sp.Encode(next))
+			if len(succ) == cap(succ) {
+				// Double rather than let append grow by 1.25×: the rows
+				// outgrow the initial capacity of n several times, and
+				// doubling allocates 43% fewer bytes on the ring families
+				// (BenchmarkGCLCompile/D3-N6: 172 KiB/op against 303).
+				succ = slices.Grow(succ, len(succ))
+			}
+			succ = append(succ, t)
 		}
+		off[s+1] = len(succ)
 	}
-	return &Compiled{Program: prog, Space: sp, System: b.Build()}, nil
+	sys := system.FromSuccessors(name, sp, off, succ, init)
+	return &Compiled{Program: prog, Space: sp, System: sys}, nil
 }
 
 // SpaceOf builds the structured state space of a program's declarations.
-func SpaceOf(prog *Program) *system.Space {
+func SpaceOf(prog *Program) *system.Space { //gcvet:gasloop-ok one iteration per declared variable, never per state
 	vars := make([]system.Var, len(prog.Vars))
 	for i, v := range prog.Vars {
 		if v.IsBool {

@@ -1,0 +1,136 @@
+package gcl
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/ring"
+	"repro/internal/system"
+)
+
+// referenceCompile is the enumerator the lowered sweep replaced, kept as
+// the differential oracle: it decodes every state, evaluates guards and
+// right-hand sides with the tree-walking Eval, and collects transitions
+// in a system.Builder.
+func referenceCompile(name string, prog *Program) (*system.System, error) {
+	if err := Check(prog); err != nil {
+		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
+	}
+	sp := SpaceOf(prog)
+	b := system.NewSpaceBuilder(name, sp)
+	env := make(system.Vals, len(prog.Vars))
+	next := make(system.Vals, len(prog.Vars))
+	for s := 0; s < sp.Size(); s++ {
+		env = sp.Decode(s, env)
+		if prog.Init == nil {
+			b.AddInit(s)
+		} else {
+			isInit, err := EvalBool(prog, prog.Init, env)
+			if err != nil {
+				return nil, evalFailure(sp, s, err)
+			}
+			if isInit {
+				b.AddInit(s)
+			}
+		}
+		for ai := range prog.Actions {
+			a := &prog.Actions[ai]
+			enabled, err := EvalBool(prog, a.Guard, env)
+			if err != nil {
+				return nil, evalFailure(sp, s, err)
+			}
+			if !enabled {
+				continue
+			}
+			copy(next, env)
+			for _, as := range a.Assigns {
+				v, err := Eval(prog, as.Expr, env)
+				if err != nil {
+					return nil, evalFailure(sp, s, err)
+				}
+				vi := varIndex(prog, as.Name)
+				enc, err := encodeValue(prog.Vars[vi], v)
+				if err != nil {
+					return nil, &EvalError{Pos: as.Pos,
+						Msg:   fmt.Sprintf("action %q: %v", a.Name, err),
+						State: sp.StateString(s)}
+				}
+				next[vi] = enc
+			}
+			b.AddTransition(s, sp.Encode(next))
+		}
+	}
+	return b.Build(), nil
+}
+
+// assertSameAsReference compiles src both ways and demands the same
+// automaton or the same error text. It reports whether src compiled.
+func assertSameAsReference(t *testing.T, name, src string) bool {
+	t.Helper()
+	p1, err := Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	p2, _ := Parse(src)
+	got, gotErr := CompileProgram(name, p1)
+	want, wantErr := referenceCompile(name, p2)
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("%s: CompileProgram error %v, reference error %v", name, gotErr, wantErr)
+	case gotErr != nil:
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error text differs:\n got  %s\n want %s", name, gotErr, wantErr)
+		}
+		return false
+	}
+	if !system.Equal(got.System, want) {
+		t.Fatalf("%s: lowered enumeration differs from reference: %s vs %s; first extra transitions %v, missing %v",
+			name, got.System, want, system.DiffTransitions(got.System, want, 3), system.DiffTransitions(want, got.System, 3))
+	}
+	if got.System.Name() != want.Name() || !got.System.Space().SameShape(want.Space()) {
+		t.Fatalf("%s: name or space differs", name)
+	}
+	return true
+}
+
+func TestCompileMatchesReferenceExamples(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "gcl", "*.gcl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAsReference(t, filepath.Base(f), string(src))
+	}
+}
+
+func TestCompileMatchesReferenceRings(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		assertSameAsReference(t, fmt.Sprintf("d3-N%d", n), ring.Dijkstra3GCL(n))
+		assertSameAsReference(t, fmt.Sprintf("a3-N%d", n), ring.AggressiveThreeGCL(n))
+		for _, k := range []int{3, 4} {
+			assertSameAsReference(t, fmt.Sprintf("k%d-N%d", k, n), ring.KStateGCL(n, k))
+		}
+	}
+}
+
+func TestCompileMatchesReferenceFailures(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"div-guard", "var x : 0..2;\naction a: 6 / x == 3 -> x := 0;"},
+		{"mod-rhs", "var x : 0..2;\nvar y : 0..2;\naction a: true -> y := (y + 1) % x; x := 1;"},
+		{"div-init", "var x : 0..2;\ninit 1 / x == 1;\naction a: true -> x := 0;"},
+		{"escape", "var x : -1..2;\naction a: x > 0 -> x := x + 1;"},
+		{"escape-second", "var x : 0..2;\nvar y : 0..1;\naction a: true -> x := 1; y := x;"},
+		{"fault-after-escape", "var x : 0..2;\naction a: true -> x := 3 + 1 / x;"},
+		{"bool-ternary", "var b : bool;\nvar x : 0..3;\naction a: b ? x < 3 : x > 0 -> x := b ? x + 1 : x - 1; b := !b;"},
+	} {
+		if assertSameAsReference(t, tc.name, tc.src) && tc.name != "bool-ternary" {
+			t.Errorf("%s: compiled, want a runtime failure", tc.name)
+		}
+	}
+}

@@ -1,12 +1,54 @@
 package gcl
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/system"
 )
+
+// meteredSrc has 10^4 states × 2 actions, more metered steps than one
+// context poll interval.
+const meteredSrc = `var a : 0..9; var b : 0..9; var c : 0..9; var d : 0..9;
+action inc: a < 9 -> a := a + 1;
+action mv: b != c -> b := c;`
+
+func TestCompileProgramGasCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	prog, err := Parse(meteredSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompileProgramGas(mc.NewGas(ctx, -1), "m", prog); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestCompileProgramGasBudget(t *testing.T) {
+	prog, err := Parse(meteredSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompileProgramGas(mc.NewGas(nil, 10), "m", prog); !errors.Is(err, mc.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want mc.ErrBudgetExhausted", err)
+	}
+	// A budget covering the sweep (one step per state×action) finishes
+	// with the unmetered automaton.
+	full := mc.NewGas(nil, 2*10_000)
+	c, err := CompileProgramGas(full, "m", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := CompileProgram("m", prog)
+	if err != nil || !system.Equal(c.System, ref.System) || full.Spent() != 2*10_000 {
+		t.Fatalf("metered compile differs (err %v, spent %d)", err, full.Spent())
+	}
+}
 
 func TestCheckErrors(t *testing.T) {
 	cases := []struct {

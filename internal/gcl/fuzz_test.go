@@ -35,11 +35,13 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzCompile asserts that compilation of small-domain programs never
-// panics: either a compiled automaton or an error.
+// panics, and that the lowered enumeration yields the reference
+// enumerator's automaton or its exact error text.
 func FuzzCompile(f *testing.F) {
 	f.Add("var x : 0..2;\naction a: true -> x := (x + 1) % 3;")
 	f.Add("var x : 0..2;\naction a: true -> x := x + 1;") // domain overflow
 	f.Add("var x : 0..2;\naction a: 1 / x == 1 -> x := 0;")
+	f.Add("var x : -2..2;\nvar b : bool;\ninit b || x % 2 == 0;\naction a: b -> x := -x; b := x > 0;")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Guard against fuzz inputs that declare astronomically large
 		// domains: compilation cost is proportional to the state space.
@@ -55,7 +57,7 @@ func FuzzCompile(f *testing.F) {
 					return
 				}
 			}
-			_, _ = CompileProgram("fuzz", prog)
+			assertSameAsReference(t, "fuzz", src)
 		}
 	})
 }

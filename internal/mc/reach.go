@@ -96,24 +96,30 @@ func Predecessors(sys *system.System) [][]int {
 	return pred
 }
 
+// predecessorsGas builds the reversed adjacency as rows of one backing
+// array: a counting pass sizes each row, a fill pass places the sources.
 func predecessorsGas(g *Gas, sys *system.System) ([][]int, error) {
 	n := sys.NumStates()
-	counts := make([]int, n)
+	off := make([]int, n+1)
 	for s := 0; s < n; s++ {
 		succ := sys.Succ(s)
 		if err := g.Tick(len(succ)); err != nil {
 			return nil, err
 		}
 		for _, t := range succ {
-			counts[t]++
+			off[t+1]++
 		}
 	}
-	pred := make([][]int, n)
 	for t := 0; t < n; t++ {
-		if counts[t] > 0 {
-			pred[t] = make([]int, 0, counts[t])
-		}
+		off[t+1] += off[t]
 	}
+	backing := make([]int, off[n])
+	pred := make([][]int, n)
+	for t := range pred {
+		pred[t] = backing[off[t]:off[t]:off[t+1]]
+	}
+	// Sources are visited in increasing order, so every row comes out
+	// sorted.
 	for s := 0; s < n; s++ {
 		for _, t := range sys.Succ(s) {
 			pred[t] = append(pred[t], s)

@@ -16,7 +16,8 @@ func SCCs(sys *system.System, within *bitset.Set) (components [][]int, comp []in
 }
 
 // SCCsGas is SCCs under a meter: it ticks g once per discovered state and
-// once per examined edge.
+// once per examined edge. The components are subslices of one backing
+// array, filled in emission order.
 func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int, comp []int, err error) {
 	n := sys.NumStates()
 	const unvisited = -1
@@ -29,6 +30,10 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int
 		comp[i] = -1
 	}
 	var stack []int
+	// Every component's members back to back, in emission order; starts
+	// holds where each component begins.
+	members := make([]int, 0, n)
+	var starts []int
 	next := 0
 
 	inSet := func(s int) bool { return within == nil || within.Has(s) }
@@ -38,11 +43,12 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int
 		s  int
 		ei int // index into Succ(s)
 	}
+	var call []frame // reused across roots
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited || !inSet(root) {
 			continue
 		}
-		call := []frame{{s: root}}
+		call = append(call[:0], frame{s: root})
 		index[root] = next
 		low[root] = next
 		next++
@@ -80,18 +86,17 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int
 			}
 			// f.s finished.
 			if low[f.s] == index[f.s] {
-				var c []int
+				starts = append(starts, len(members))
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp[w] = len(components)
-					c = append(c, w)
+					comp[w] = len(starts) - 1
+					members = append(members, w)
 					if w == f.s {
 						break
 					}
 				}
-				components = append(components, c)
 			}
 			call = call[:len(call)-1]
 			if len(call) > 0 {
@@ -101,6 +106,14 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int
 				}
 			}
 		}
+	}
+	components = make([][]int, len(starts))
+	for i, lo := range starts {
+		hi := len(members)
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		components[i] = members[lo:hi:hi]
 	}
 	return components, comp, nil
 }

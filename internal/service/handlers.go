@@ -54,7 +54,8 @@ type SelfStabRequest struct {
 	Source string `json:"source"`
 	// TimeoutMS overrides the server's default per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Budget overrides the server's default enumeration step budget.
+	// Budget overrides the server's default step budget, which meters
+	// the enumeration and the decision procedures alike.
 	Budget int64 `json:"budget,omitempty"`
 }
 
@@ -211,6 +212,16 @@ func (s *Server) parseProgram(field, src string) (*gcl.Program, error) {
 	return prog, nil
 }
 
+// enumerationError classifies a failed enumeration: a tripped meter
+// (deadline or budget) passes through for writeComputeError to map to
+// 504 or 422; anything else is a runtime fault of the submitted program.
+func enumerationError(g *mc.Gas, field string, err error) error {
+	if g.Err() != nil {
+		return err
+	}
+	return badRequest("%s: %v", field, err)
+}
+
 func (s *Server) handleSelfStab(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	s.recordRequest(kindSelfStab)
@@ -231,11 +242,12 @@ func (s *Server) handleSelfStab(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.resolveBudget(req.Budget)
 	s.execute(w, r, kindSelfStab, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		c, err := gcl.CompileProgram("program", prog)
+		g := mc.NewGas(ctx, budget)
+		c, err := gcl.CompileProgramGas(g, "program", prog)
 		if err != nil {
-			return nil, badRequest("source: %v", err)
+			return nil, enumerationError(g, "source", err)
 		}
-		rep, err := core.SelfStabilizingGas(mc.NewGas(ctx, budget), c.System)
+		rep, err := core.SelfStabilizingGas(g, c.System)
 		if err != nil {
 			return nil, err
 		}
@@ -274,18 +286,18 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.resolveBudget(req.Budget)
 	s.execute(w, r, kindRefine, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		cc, err := gcl.CompileProgram("concrete", concrete)
+		g := mc.NewGas(ctx, budget)
+		cc, err := gcl.CompileProgramGas(g, "concrete", concrete)
 		if err != nil {
-			return nil, badRequest("concrete: %v", err)
+			return nil, enumerationError(g, "concrete", err)
 		}
-		ca, err := gcl.CompileProgram("abstract", abstract)
+		ca, err := gcl.CompileProgramGas(g, "abstract", abstract)
 		if err != nil {
-			return nil, badRequest("abstract: %v", err)
+			return nil, enumerationError(g, "abstract", err)
 		}
 		if !cc.Space.SameShape(ca.Space) {
 			return nil, badRequest("programs declare different state spaces; refine requires a shared space")
 		}
-		g := mc.NewGas(ctx, budget)
 		vInit, err := core.RefinementInitGas(g, cc.System, ca.System, nil)
 		if err != nil {
 			return nil, err

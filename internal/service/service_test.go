@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -620,6 +621,70 @@ func TestServiceLintBudget(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("interval-tier dead guard missing: %s", body)
+	}
+}
+
+// bigSelfStabSource declares 10^6 states: enumerating it takes far
+// longer than the deadlines the tests below give it.
+const bigSelfStabSource = `var a : 0..9; var b : 0..9; var c : 0..9;
+var d : 0..9; var e : 0..9; var f : 0..9;
+action inc: a < 9 -> a := a + 1;
+action mv: b != c -> b := c;
+action rot: true -> f := (f + 1) % 10;`
+
+// TestServiceBudgetMetersEnumeration: the request budget is spent by the
+// enumeration too, so a tiny budget fails during compilation with 422.
+func TestServiceBudgetMetersEnumeration(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: -1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/selfstab", SelfStabRequest{Source: bigSelfStabSource, Budget: 10})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "budget exhausted") {
+		t.Fatalf("status %d, want 422 budget exhausted: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/refine", RefineRequest{
+		Concrete: bigSelfStabSource, Abstract: bigSelfStabSource, Budget: 10})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("refine: status %d, want 422: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServiceTimeoutFreesEnumeratingWorker: a deadline that fires while
+// the only worker is still enumerating cancels the enumeration through
+// the request's gas meter, so the worker is free long before the
+// enumeration could have finished and serves the next request.
+func TestServiceTimeoutFreesEnumeratingWorker(t *testing.T) {
+	prog, err := gcl.Parse(bigSelfStabSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	if _, err := gcl.CompileProgram("program", prog); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(started)
+
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: -1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/selfstab", SelfStabRequest{Source: bigSelfStabSource, TimeoutMS: 20})
+	timedOut := time.Now()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	}
+	for svc.pool.inFlight.Load() != 0 {
+		if time.Since(timedOut) > full/2 {
+			t.Fatalf("worker still busy %v after the 504; an uncancelled enumeration takes %v", time.Since(timedOut), full)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/selfstab", SelfStabRequest{Source: "var x : 0..4;\naction tick: true -> x := (x + 1) % 5;"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -24,14 +24,15 @@ func Box(a, b *System) *System {
 		name:  a.name + " [] " + b.name,
 		space: a.space,
 		n:     a.n,
-		succ:  make([][]int, a.n),
+		off:   make([]int, a.n+1),
+		succ:  make([]int, 0, len(a.succ)+len(b.succ)),
 	}
 	if out.space == nil {
 		out.space = b.space
 	}
 	for s := 0; s < a.n; s++ {
-		out.succ[s] = mergeSorted(a.succ[s], b.succ[s])
-		out.nT += len(out.succ[s])
+		out.succ = appendMerged(out.succ, a.Succ(s), b.Succ(s))
+		out.off[s+1] = len(out.succ)
 	}
 	init := a.init.Clone()
 	init.UnionWith(b.init)
@@ -51,13 +52,9 @@ func BoxAll(systems ...*System) *System {
 	return out
 }
 
-// mergeSorted merges two sorted, duplicate-free int slices into a new
-// sorted, duplicate-free slice.
-func mergeSorted(a, b []int) []int {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(a)+len(b))
+// appendMerged appends the sorted, duplicate-free union of two sorted,
+// duplicate-free int slices to out.
+func appendMerged(out, a, b []int) []int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -74,6 +71,5 @@ func mergeSorted(a, b []int) []int {
 		}
 	}
 	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(out, b[j:]...)
 }

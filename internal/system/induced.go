@@ -36,19 +36,28 @@ func Induced(sys *System, keep *bitset.Set) (*System, []int) {
 	if count == 0 {
 		panic(fmt.Sprintf("system: Induced on empty set of %q", sys.name))
 	}
-	b := NewBuilder(sys.name+"|induced", count)
+	// oldToNew is increasing on the kept states, so each row stays sorted
+	// and duplicate-free under re-indexing.
+	out := &System{
+		name: sys.name + "|induced",
+		n:    count,
+		off:  make([]int, count+1),
+		succ: make([]int, 0, len(sys.succ)),
+		init: bitset.New(count),
+	}
 	keep.ForEach(func(s int) {
 		ns := oldToNew[s]
-		for _, t := range sys.succ[s] {
+		for _, t := range sys.Succ(s) {
 			if nt := oldToNew[t]; nt >= 0 {
-				b.AddTransition(ns, nt)
+				out.succ = append(out.succ, nt)
 			}
 		}
+		out.off[ns+1] = len(out.succ)
 		if sys.init.Has(s) {
-			b.AddInit(ns)
+			out.init.Add(ns)
 		}
 	})
-	return b.Build(), oldToNew
+	return out, oldToNew
 }
 
 // InducedAbstraction lifts an abstraction α: Σ_C → Σ_A to the induced

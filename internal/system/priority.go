@@ -26,18 +26,19 @@ func PriorityBox(base, pre *System) *System {
 		name:  base.name + " <] " + pre.name,
 		space: base.space,
 		n:     base.n,
-		succ:  make([][]int, base.n),
+		off:   make([]int, base.n+1),
+		succ:  make([]int, 0, len(base.succ)),
 	}
 	if out.space == nil {
 		out.space = pre.space
 	}
 	for s := 0; s < base.n; s++ {
-		if len(pre.succ[s]) > 0 {
-			out.succ[s] = pre.succ[s]
+		if !pre.Terminal(s) {
+			out.succ = append(out.succ, pre.Succ(s)...)
 		} else {
-			out.succ[s] = base.succ[s]
+			out.succ = append(out.succ, base.Succ(s)...)
 		}
-		out.nT += len(out.succ[s])
+		out.off[s+1] = len(out.succ)
 	}
 	init := base.init.Clone()
 	init.UnionWith(pre.init)

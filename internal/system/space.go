@@ -87,6 +87,10 @@ func (sp *Space) NumVars() int { return len(sp.vars) }
 // Var returns the i-th variable.
 func (sp *Space) Var(i int) Var { return sp.vars[i] }
 
+// Stride returns the positional weight of variable i: changing its value
+// by d changes the state index by d·Stride(i).
+func (sp *Space) Stride(i int) int { return sp.strides[i] }
+
 // VarIndex returns the index of the named variable and whether it exists.
 func (sp *Space) VarIndex(name string) (int, bool) {
 	i, ok := sp.index[name]

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -13,23 +14,30 @@ import (
 // related by T (finite computations end in states with no outgoing
 // transition).
 //
-// Systems are immutable once built; construct them with a Builder or with
-// Enumerate.
+// T is stored as compressed sparse rows: the successors of s are
+// succ[off[s]:off[s+1]], sorted and duplicate-free, so a whole system is
+// two flat arrays however many states it has.
+//
+// Systems are immutable once built; construct them with a Builder, with
+// Enumerate, or from rows with FromSuccessors.
 type System struct {
 	name  string
 	space *Space // may be nil for raw index-based systems
 	n     int
-	succ  [][]int
+	off   []int // len n+1
+	succ  []int // len off[n]
 	init  *bitset.Set
-	nT    int
 }
 
 // Builder accumulates transitions and initial states for a System.
+// Transitions are recorded flat, in arrival order; Build groups them by
+// source, sorts each row and merges duplicates.
 type Builder struct {
 	name  string
 	space *Space
 	n     int
-	succ  []map[int]struct{}
+	src   []int
+	dst   []int
 	init  *bitset.Set
 }
 
@@ -41,7 +49,6 @@ func NewBuilder(name string, n int) *Builder {
 	return &Builder{
 		name: name,
 		n:    n,
-		succ: make([]map[int]struct{}, n),
 		init: bitset.New(n),
 	}
 }
@@ -63,10 +70,8 @@ func (b *Builder) checkState(s int) {
 func (b *Builder) AddTransition(s, t int) {
 	b.checkState(s)
 	b.checkState(t)
-	if b.succ[s] == nil {
-		b.succ[s] = make(map[int]struct{})
-	}
-	b.succ[s][t] = struct{}{}
+	b.src = append(b.src, s)
+	b.dst = append(b.dst, t)
 }
 
 // AddInit marks s as an initial state.
@@ -78,28 +83,69 @@ func (b *Builder) AddInit(s int) {
 // Wrappers add no initial states at all: a Builder with no AddInit calls
 // yields a system with I = ∅, the wrapper convention used by Box.
 
-// Build freezes the builder into an immutable System.
+// Build freezes the builder into an immutable System. The builder stays
+// usable: later additions do not affect systems already built.
 func (b *Builder) Build() *System {
-	sys := &System{
-		name:  b.name,
-		space: b.space,
-		n:     b.n,
-		succ:  make([][]int, b.n),
-		init:  b.init.Clone(),
+	off := make([]int, b.n+1)
+	for _, s := range b.src {
+		off[s+1]++
 	}
-	for s, set := range b.succ {
-		if len(set) == 0 {
-			continue
-		}
-		ts := make([]int, 0, len(set))
-		for t := range set {
-			ts = append(ts, t)
-		}
-		sort.Ints(ts)
-		sys.succ[s] = ts
-		sys.nT += len(ts)
+	for s := 0; s < b.n; s++ {
+		off[s+1] += off[s]
 	}
-	return sys
+	targets := make([]int, len(b.dst))
+	next := make([]int, b.n)
+	copy(next, off)
+	for i, s := range b.src {
+		targets[next[s]] = b.dst[i]
+		next[s]++
+	}
+	return FromSuccessors(b.name, b.space, off, targets, b.init.Clone())
+}
+
+// FromSuccessors builds a system from compressed sparse rows: the
+// successors of state s are targets[off[s]:off[s+1]], in any order and
+// possibly repeated. It takes ownership of off, targets and init
+// (nil means I = ∅), sorting and deduplicating each row in place. It
+// panics on malformed rows or out-of-range states, and, when sp is
+// non-nil, on a row count other than sp.Size().
+func FromSuccessors(name string, sp *Space, off, targets []int, init *bitset.Set) *System {
+	n := len(off) - 1
+	if n <= 0 || off[0] != 0 || off[n] != len(targets) {
+		panic(fmt.Sprintf("system: malformed successor rows for %q", name))
+	}
+	if sp != nil && sp.Size() != n {
+		panic(fmt.Sprintf("system: %q has %d rows, its space %d states", name, n, sp.Size()))
+	}
+	if init == nil {
+		init = bitset.New(n)
+	} else if init.Len() != n {
+		panic(fmt.Sprintf("system: %q initial-state universe %d, want %d", name, init.Len(), n))
+	}
+	w, start := 0, 0
+	for s := 0; s < n; s++ {
+		end := off[s+1]
+		if end < start {
+			panic(fmt.Sprintf("system: malformed successor rows for %q", name))
+		}
+		row := targets[start:end]
+		slices.Sort(row)
+		off[s] = w
+		prev := -1
+		for _, t := range row {
+			if t < 0 || t >= n {
+				panic(fmt.Sprintf("system: state %d out of [0,%d) in %q", t, n, name))
+			}
+			if t != prev {
+				targets[w] = t
+				w++
+				prev = t
+			}
+		}
+		start = end
+	}
+	off[n] = w
+	return &System{name: name, space: sp, n: n, off: off, succ: targets[:w:w], init: init}
 }
 
 // Name returns the system's display name.
@@ -112,23 +158,27 @@ func (sys *System) Space() *Space { return sys.space }
 func (sys *System) NumStates() int { return sys.n }
 
 // NumTransitions returns |T|.
-func (sys *System) NumTransitions() int { return sys.nT }
+func (sys *System) NumTransitions() int { return len(sys.succ) }
 
 // Succ returns the successors of s in increasing order. The returned slice
 // is owned by the System and must not be modified; it is shared rather than
-// copied because Succ is the hot path of every reachability sweep.
-func (sys *System) Succ(s int) []int { return sys.succ[s] }
+// copied because Succ is the hot path of every reachability sweep. Its
+// capacity ends with the row, so an append cannot spill into s+1's row.
+func (sys *System) Succ(s int) []int {
+	lo, hi := sys.off[s], sys.off[s+1]
+	return sys.succ[lo:hi:hi]
+}
 
 // HasTransition reports whether (s, t) ∈ T.
 func (sys *System) HasTransition(s, t int) bool {
-	ts := sys.succ[s]
+	ts := sys.Succ(s)
 	i := sort.SearchInts(ts, t)
 	return i < len(ts) && ts[i] == t
 }
 
 // Terminal reports whether s has no outgoing transition (computations
 // reaching s are finite and end there).
-func (sys *System) Terminal(s int) bool { return len(sys.succ[s]) == 0 }
+func (sys *System) Terminal(s int) bool { return sys.off[s] == sys.off[s+1] }
 
 // Init returns a copy of the initial-state set.
 func (sys *System) Init() *bitset.Set { return sys.init.Clone() }
@@ -150,7 +200,7 @@ func (sys *System) StateString(s int) string {
 
 // String summarizes the automaton.
 func (sys *System) String() string {
-	return fmt.Sprintf("%s: |Σ|=%d |T|=%d |I|=%d", sys.name, sys.n, sys.nT, sys.init.Count())
+	return fmt.Sprintf("%s: |Σ|=%d |T|=%d |I|=%d", sys.name, sys.n, len(sys.succ), sys.init.Count())
 }
 
 // Rename returns a shallow copy of sys with a different display name.
@@ -179,25 +229,15 @@ func (sys *System) WithInit(states []int) *System {
 // sequences of state *changes*.
 func (sys *System) StripSelfLoops() *System {
 	c := *sys
-	c.succ = make([][]int, sys.n)
-	c.nT = 0
+	c.off = make([]int, sys.n+1)
+	c.succ = make([]int, 0, len(sys.succ))
 	for s := 0; s < sys.n; s++ {
-		ts := sys.succ[s]
-		keep := ts
-		for i, t := range ts {
-			if t == s {
-				keep = make([]int, 0, len(ts)-1)
-				keep = append(keep, ts[:i]...)
-				for _, u := range ts[i+1:] {
-					if u != s {
-						keep = append(keep, u)
-					}
-				}
-				break
+		for _, t := range sys.Succ(s) {
+			if t != s {
+				c.succ = append(c.succ, t)
 			}
 		}
-		c.succ[s] = keep
-		c.nT += len(keep)
+		c.off[s+1] = len(c.succ)
 	}
 	return &c
 }
@@ -206,21 +246,7 @@ func (sys *System) StripSelfLoops() *System {
 // have exactly the same transition relation. Used by the derivations to
 // check claims of the form "the composed system IS Dijkstra's system".
 func TransitionsEqual(a, b *System) bool {
-	if a.n != b.n || a.nT != b.nT {
-		return false
-	}
-	for s := 0; s < a.n; s++ {
-		as, bs := a.succ[s], b.succ[s]
-		if len(as) != len(bs) {
-			return false
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.n == b.n && slices.Equal(a.off, b.off) && slices.Equal(a.succ, b.succ)
 }
 
 // Equal reports whether two systems have identical state spaces, transition
@@ -234,7 +260,7 @@ func Equal(a, b *System) bool {
 func DiffTransitions(a, b *System, max int) [][2]int {
 	var out [][2]int
 	for s := 0; s < a.n; s++ {
-		for _, t := range a.succ[s] {
+		for _, t := range a.Succ(s) {
 			if !b.HasTransition(s, t) {
 				out = append(out, [2]int{s, t})
 				if max > 0 && len(out) >= max {
