@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet gcvet build test bench bench-check lint cluster-race cluster-demo chaos crash-demo \
+.PHONY: check fmt vet gcvet build test bench bench-check fuzz-smoke lint cluster-race cluster-demo chaos crash-demo \
 	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
 
 # check is the full gate: formatting, vet, build, the race-enabled
@@ -67,6 +67,15 @@ bench:
 # core or service calls it makes would otherwise break it silently.
 bench-check:
 	cd checkbench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke runs the two differential fuzzers briefly: FuzzCompile
+# checks the table-driven enumeration against the Eval reference, and
+# FuzzAnalyze the linter's exact tier against its reference sweep, on
+# generated programs. -run='^$$' skips the unit tests the suite already
+# ran.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=10s ./internal/gcl
+	$(GO) test -run='^$$' -fuzz='^FuzzAnalyze$$' -fuzztime=10s ./internal/gcl/analysis
 
 # cluster-race gives the message-passing runtime a dedicated
 # race-detector pass: it is the most concurrent code in the repository

@@ -110,10 +110,12 @@ func (rp *Replica) routeToOwner(svc *service.Server, w http.ResponseWriter, r *h
 				return
 			}
 			// The forward failed after the hedge fired; the local racer
-			// is now the only path. (Its recorder already holds — or
-			// will hold — the answer; waiting is correct, not a stall:
-			// the deadline on lctx bounds it.)
+			// is now the only path, and so the race's winner. (Its
+			// recorder already holds — or will hold — the answer;
+			// waiting is correct, not a stall: the deadline on lctx
+			// bounds it.)
 			rp.countForwardFailure(res.reply, res.err)
+			rp.hedgeLocalWins.Add(1)
 			rp.localFallbacks.Add(1)
 			writeRecorded(w, <-localc)
 		case rec := <-localc:

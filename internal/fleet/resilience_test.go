@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/service"
 )
 
@@ -163,6 +164,47 @@ func TestFleetHedgedForwardSingleWinner(t *testing.T) {
 	if localWins+forwardWins != fired {
 		t.Fatalf("hedge races: fired=%d local=%d forward=%d, want exactly one winner per race",
 			fired, localWins, forwardWins)
+	}
+}
+
+// When the forward fails after the hedge fired, the local racer is the
+// only answer left and so the race's winner: fired == local + forward
+// holds on this path too. The owner answers garbage 20 ms after the
+// forward arrives, long after the 1 ms hedge delay and long before
+// local compute finishes on a 3^12-state ring, so every run takes the
+// forward-failed branch.
+func TestFleetHedgeForwardFailureCountsLocalWin(t *testing.T) {
+	f := testFleet(t, 2, func(c *Config) {
+		c.HedgeDelay = time.Millisecond
+		c.BreakerLatencyBreach = -1
+	})
+	for i := 0; i < f.Replicas(); i++ {
+		f.SlowReplica(i, 20*time.Millisecond)
+		f.GarbageReplica(i, true)
+	}
+	body := service.SelfStabRequest{Source: ring.Dijkstra3GCL(11), TimeoutMS: 120_000}
+	for i, addr := range f.HTTPAddrs() {
+		resp, raw := postTo(t, addr, "/v1/selfstab", body, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("replica %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+	}
+	var sum FleetzStatus
+	for i := 0; i < f.Replicas(); i++ {
+		st := f.Replica(i).Status()
+		sum.HedgesFired += st.HedgesFired
+		sum.HedgeLocalWins += st.HedgeLocalWins
+		sum.HedgeForwardWins += st.HedgeForwardWins
+		sum.ForwardErrors += st.ForwardErrors
+		sum.LocalFallbacks += st.LocalFallbacks
+	}
+	if sum.HedgesFired != 1 || sum.ForwardErrors != 1 || sum.LocalFallbacks != 1 {
+		t.Fatalf("fired=%d forward_errors=%d local_fallbacks=%d, want one hedged forward that failed",
+			sum.HedgesFired, sum.ForwardErrors, sum.LocalFallbacks)
+	}
+	if sum.HedgeLocalWins != 1 || sum.HedgeForwardWins != 0 {
+		t.Fatalf("hedge wins: local=%d forward=%d, want the local racer counted as the one winner",
+			sum.HedgeLocalWins, sum.HedgeForwardWins)
 	}
 }
 

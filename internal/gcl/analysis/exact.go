@@ -45,11 +45,14 @@ type overlap struct {
 	witness int
 }
 
-// runExact enumerates the state space, spending gas per state×action.
-// It returns nil facts when the budget runs out: partial sweeps prove
-// nothing.
+// runExact enumerates the state space, spending gas per state×action
+// and per table entry filled. It returns nil facts when the budget runs
+// out: partial sweeps prove nothing.
 func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
-	l := gcl.Lower(prog)
+	l, err := gcl.Lower(gas, prog)
+	if err != nil {
+		return nil, err
+	}
 	sp := l.Space()
 	n := sp.Size()
 	numA := len(prog.Actions)
@@ -76,14 +79,16 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 	var off, succ []int32
 	if prog.Init != nil {
 		off = make([]int32, n+1)
-		succ = make([]int32, 0, n)
+		succ = make([]int32, 0, l.Transitions())
 	}
 	initStates := make([]int, 0, 16)
 
-	enabledHere := make([]int, 0, numA)
-	nextOf := make([]int, numA) // successor state per enabled action, -1 if escaping
+	moves := make([]gcl.Move, 0, numA)
 	c := l.NewCursor()
 	for c.Next() {
+		if err := gas.Tick(numA); err != nil {
+			return nil, err
+		}
 		s := c.State()
 		if prog.Init != nil {
 			isInit, err := c.Init()
@@ -92,24 +97,19 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				initStates = append(initStates, s)
 			}
 		}
-		enabledHere = enabledHere[:0]
-		for ai := range prog.Actions {
-			if err := gas.Tick(1); err != nil {
-				return nil, err
-			}
-			on, err := c.Enabled(ai)
-			if err != nil {
-				f.guardError[ai]++
-				continue
-			}
-			if !on {
-				continue
-			}
-			f.enabled[ai]++
-			// Right-hand-side errors (division by zero) yield no value and
-			// no successor; escaping values are recorded per assignment.
-			ns, identity := c.Exec(ai)
-			if ns < 0 {
+		// Keep, in place, the moves of the actions whose guard held.
+		moves = c.Moves(moves[:0])
+		enabled := moves[:0]
+		for _, m := range moves {
+			ai, ns := m.Action, m.Next
+			if ns == gcl.Faulted {
+				if c.GuardFaulted(ai) {
+					f.guardError[ai]++
+					continue
+				}
+				// Right-hand-side errors (division by zero) yield no value
+				// and no successor; escaping values are recorded per
+				// assignment.
 				for asi := range prog.Actions[ai].Assigns {
 					if c.Escaped(ai, asi) {
 						if f.escapes[ai].count[asi] == 0 {
@@ -118,15 +118,14 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 						f.escapes[ai].count[asi]++
 					}
 				}
-			}
-			if !identity {
-				f.stutters[ai] = false
-			}
-			nextOf[ai] = ns
-			if ns >= 0 && off != nil {
+			} else if off != nil {
 				succ = append(succ, int32(ns))
 			}
-			enabledHere = append(enabledHere, ai)
+			f.enabled[ai]++
+			if ns != s {
+				f.stutters[ai] = false
+			}
+			enabled = append(enabled, m)
 		}
 		if off != nil {
 			off[s+1] = int32(len(succ))
@@ -135,13 +134,13 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		// daemon's choice is observable. Pairs with identical successors
 		// (or no successor) are not recorded — they are not a source of
 		// nondeterministic behavior.
-		for x := 0; x < len(enabledHere); x++ {
-			for y := x + 1; y < len(enabledHere); y++ {
-				i, j := enabledHere[x], enabledHere[y]
-				if nextOf[i] == nextOf[j] {
+		for x := range enabled {
+			for _, my := range enabled[x+1:] {
+				mx := enabled[x]
+				if mx.Next == my.Next {
 					continue
 				}
-				o := &f.overlaps[i*numA+j]
+				o := &f.overlaps[mx.Action*numA+my.Action]
 				if o.count == 0 {
 					o.witness = s
 				}
@@ -179,13 +178,13 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 			if !f.reachable[c.State()] {
 				continue
 			}
-			for ai := range prog.Actions {
-				if err := gas.Tick(1); err != nil {
-					return nil, err
-				}
-				on, err := c.Enabled(ai)
-				if err == nil && on {
-					f.reachEnab[ai]++
+			if err := gas.Tick(numA); err != nil {
+				return nil, err
+			}
+			moves = c.Moves(moves[:0])
+			for _, m := range moves {
+				if m.Next != gcl.Faulted || !c.GuardFaulted(m.Action) {
+					f.reachEnab[m.Action]++
 				}
 			}
 		}

@@ -7,9 +7,11 @@ import (
 	"repro/internal/gcl"
 )
 
-// FuzzAnalyze asserts two things on arbitrary inputs: the analyzer
-// never panics, and on small state spaces every definite interval-tier
-// claim survives exact enumeration. The seed corpus mirrors
+// FuzzAnalyze asserts three things on arbitrary inputs: the analyzer
+// never panics, on small state spaces every definite interval-tier
+// claim survives exact enumeration, and the exact tier's table-driven
+// sweep derives the same facts and diagnostics as the reference sweep
+// by Eval. The seed corpus mirrors
 // internal/gcl's fuzz seeds plus programs that hit each analyzer.
 func FuzzAnalyze(f *testing.F) {
 	// Seeds shared with gcl.FuzzParse / gcl.FuzzCompile.
@@ -27,6 +29,11 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add("var x : 0..3;\nvar ghost : bool;\naction s: x == 1 -> x := 1;")
 	f.Add("var x : 0..9;\ninit x > 20;\naction a: x < 3 && x > 6 -> x := x / 0;")
 	f.Add("var x : 1..3;\naction norm: true -> x := x - x + 1;")
+	// Table seeds: a fault at some projection points only, offset and
+	// boolean domains, an empty read set, an untabulated action.
+	f.Add("var x : 0..3;\nvar y : 0..2;\nvar z : bool;\ninit x == 0;\naction a: x / (y - 1) > 0 -> x := 0;\naction b: x < 3 -> x := x + 1;")
+	f.Add("var x : -2..2;\nvar b : bool;\nvar y : 3..5;\naction a: b && y > 3 -> y := y - 1; b := x > 0;\naction k: true -> x := 2;")
+	f.Add("var x : 0..2;\nvar y : 0..2;\naction all: x + y < 4 -> y := (x + y) % 3; x := y;\naction one: x < 2 -> x := x + 1;")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return
@@ -41,6 +48,9 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		if !res.Exact {
 			return // space too large to cross-check
+		}
+		if msg := exactMismatch(prog); msg != "" {
+			t.Fatalf("%s\n%s", msg, src)
 		}
 		// Exact results replace every decided approx claim, so any
 		// surviving definite verdict was confirmed by enumeration.

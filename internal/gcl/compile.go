@@ -2,7 +2,6 @@ package gcl
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/mc"
@@ -33,20 +32,29 @@ func CompileProgram(name string, prog *Program) (*Compiled, error) {
 }
 
 // CompileProgramGas is CompileProgram under a meter: it ticks g once per
-// state×action, like the linter's exact tier, and returns g's error
-// (cancellation or budget exhaustion) instead of finishing the sweep.
+// state×action and once per table entry filled, like the linter's exact
+// tier, and returns g's error (cancellation or budget exhaustion) instead
+// of finishing the sweep.
 func CompileProgramGas(g *mc.Gas, name string, prog *Program) (*Compiled, error) {
 	if err := Check(prog); err != nil {
 		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
 	}
-	l := Lower(prog)
+	l, err := Lower(g, prog)
+	if err != nil {
+		return nil, err
+	}
 	sp := l.Space()
 	n := sp.Size()
+	numA := len(prog.Actions)
 	off := make([]int, n+1)
-	succ := make([]int, 0, n)
+	succ := make([]int, 0, l.Transitions())
 	init := bitset.New(n)
+	moves := make([]Move, 0, numA)
 	c := l.NewCursor()
 	for c.Next() {
+		if err := g.Tick(numA); err != nil {
+			return nil, err
+		}
 		s := c.State()
 		isInit, err := c.Init()
 		if err != nil {
@@ -55,29 +63,12 @@ func CompileProgramGas(g *mc.Gas, name string, prog *Program) (*Compiled, error)
 		if isInit {
 			init.Add(s)
 		}
-		for ai := range prog.Actions {
-			if err := g.Tick(1); err != nil {
-				return nil, err
+		moves = c.Moves(moves[:0])
+		for _, m := range moves {
+			if m.Next == Faulted {
+				return nil, c.Fault(m.Action)
 			}
-			enabled, err := c.Enabled(ai)
-			if err != nil {
-				return nil, evalFailure(sp, s, err)
-			}
-			if !enabled {
-				continue
-			}
-			t, _ := c.Exec(ai)
-			if t < 0 {
-				return nil, c.execError(ai)
-			}
-			if len(succ) == cap(succ) {
-				// Double rather than let append grow by 1.25×: the rows
-				// outgrow the initial capacity of n several times, and
-				// doubling allocates 43% fewer bytes on the ring families
-				// (BenchmarkGCLCompile/D3-N6: 172 KiB/op against 303).
-				succ = slices.Grow(succ, len(succ))
-			}
-			succ = append(succ, t)
+			succ = append(succ, m.Next)
 		}
 		off[s+1] = len(succ)
 	}

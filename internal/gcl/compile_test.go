@@ -37,15 +37,20 @@ func TestCompileProgramGasBudget(t *testing.T) {
 	if _, err := CompileProgramGas(mc.NewGas(nil, 10), "m", prog); !errors.Is(err, mc.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want mc.ErrBudgetExhausted", err)
 	}
-	// A budget covering the sweep (one step per state×action) finishes
-	// with the unmetered automaton.
-	full := mc.NewGas(nil, 2*10_000)
+	// A budget covering the tables (inc reads a: 10 entries; mv reads b
+	// and c: 100) and the sweep (one step per state×action) finishes with
+	// the unmetered automaton.
+	const steps = 10 + 100 + 2*10_000
+	if _, err := CompileProgramGas(mc.NewGas(nil, steps-1), "m", prog); !errors.Is(err, mc.ErrBudgetExhausted) {
+		t.Fatalf("budget one short: err = %v, want mc.ErrBudgetExhausted", err)
+	}
+	full := mc.NewGas(nil, steps)
 	c, err := CompileProgramGas(full, "m", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref, err := CompileProgram("m", prog)
-	if err != nil || !system.Equal(c.System, ref.System) || full.Spent() != 2*10_000 {
+	if err != nil || !system.Equal(c.System, ref.System) || full.Spent() != steps {
 		t.Fatalf("metered compile differs (err %v, spent %d)", err, full.Spent())
 	}
 }

@@ -2,19 +2,33 @@ package gcl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"repro/internal/mc"
 	"repro/internal/system"
 )
 
 // Lowering turns a checked program into the form every state-space sweep
-// runs: expressions become closures over resolved variable indices, and
+// runs. Expressions become closures over resolved variable indices, and
 // each assignment carries its target's index, domain and mixed-radix
-// stride. A Cursor walks the states in index order with an odometer of
-// decoded digits, so the successor of an action is computed as
-// s + Σ (enc − env[vi])·stride[vi] with no per-state Decode/Encode, name
-// lookup or interface switch. CompileProgram and the linter's exact tier
-// both sweep through a Cursor; Eval stays as the tree-walking reference
-// the lowered form is tested against.
+// stride, so an action's successor is s + Σ (enc − env[vi])·stride[vi]
+// with no per-state Decode/Encode, name lookup or interface switch.
+//
+// The closures do not run per state. An action reads only a few of the
+// program's variables (a ring process reads itself and its neighbours),
+// so whether it is enabled, and what it adds to the state index, depend
+// only on the projection of the state onto its read set R_a. Lower runs
+// the closures once per point of that projection and records the outcome
+// in a table: the successor delta, "disabled", or "evaluate" where the
+// guard or an assignment faults. A Cursor sweeps the states in index
+// order with an odometer, keeps each action's table index up to date as
+// digits change, and lists each state's Moves by table lookup. Only on
+// "evaluate" entries, and for actions left untabulated, does it run the
+// closures on the real state, so a fault is reported with its state and
+// in evaluation order. CompileProgram and the linter's exact tier both
+// sweep through a Cursor; Eval stays as the tree-walking reference the
+// lowered form is tested against.
 
 // machine is the mutable part of an evaluation: the current state's
 // encoded digits and the first failure met while evaluating one
@@ -47,6 +61,31 @@ type loweredAssign struct {
 type loweredAction struct {
 	guard   node
 	assigns []loweredAssign
+	first   int // the first assignment's index among all the program's assignments
+	// reads is R_a in increasing variable order: every variable the
+	// guard or a right-hand side reads, and every target.
+	reads []int
+	size  int // Π_{v∈R_a} card(v): the number of projection points
+	// base is where the action's table starts in Lowered.tables. An
+	// untabulated action's base is the final "evaluate" entry, and no
+	// digit change moves its index off it.
+	base int
+}
+
+// Table entries other than a successor delta. Deltas lie strictly
+// between −|Σ| and |Σ|, so they never collide with these.
+const (
+	entryDisabled = math.MinInt32     // the guard is false
+	entryEvaluate = math.MinInt32 + 1 // the guard or an assignment faults
+)
+
+// evaluateOnly is the tables of a program with no tabulated action.
+var evaluateOnly = []int32{entryEvaluate}
+
+// tableUse is one tabulated action that reads a variable, and the
+// variable's weight in that action's table index.
+type tableUse struct {
+	act, weight int32
 }
 
 // Lowered is a checked program lowered for sweeping. It is immutable;
@@ -57,12 +96,29 @@ type Lowered struct {
 	card    []int
 	init    node // nil: every state is initial
 	actions []loweredAction
-	maxAsg  int
+	numAsg  int
+	// tables holds every tabulated action's table back to back, then one
+	// "evaluate" entry. uses[useOff[v]:useOff[v+1]] are the tabulated
+	// actions reading variable v.
+	tables []int32
+	useOff []int
+	uses   []tableUse
+	// transitions is how many successors the sweep yields: exact when
+	// every action is tabulated; otherwise the tables' share plus one
+	// per state, a first guess that append grows past.
+	transitions int
 }
 
-// Lower lowers a program that has passed Check.
-func Lower(prog *Program) *Lowered { //gcvet:gasloop-ok one iteration per declaration and action, never per state
-	l := &Lowered{prog: prog, space: SpaceOf(prog), card: make([]int, len(prog.Vars))}
+// Lower lowers a program that has passed Check and tabulates its
+// actions. Filling the tables ticks g once per entry, and Lower returns
+// g's error (cancellation or budget exhaustion) instead of finishing.
+func Lower(g *mc.Gas, prog *Program) (*Lowered, error) {
+	// One backing array holds the cardinalities, the per-variable use
+	// offsets, and tabulate's scratch: a mark per variable and an order
+	// per action.
+	nv, na := len(prog.Vars), len(prog.Actions)
+	ints := make([]int, 3*nv+1+na)
+	l := &Lowered{prog: prog, space: SpaceOf(prog), card: ints[:nv:nv], useOff: ints[nv : 2*nv+1 : 2*nv+1]}
 	for i, v := range prog.Vars {
 		l.card[i] = v.Card()
 	}
@@ -70,7 +126,7 @@ func Lower(prog *Program) *Lowered { //gcvet:gasloop-ok one iteration per declar
 		l.init = lowerExpr(prog, prog.Init)
 	}
 	l.actions = make([]loweredAction, len(prog.Actions))
-	for ai := range prog.Actions {
+	for ai := range prog.Actions { //gcvet:gasloop-ok one iteration per action, never per state; tabulate meters the per-entry work
 		a := &prog.Actions[ai]
 		la := loweredAction{guard: lowerExpr(prog, a.Guard), assigns: make([]loweredAssign, len(a.Assigns))}
 		for asi, as := range a.Assigns {
@@ -82,11 +138,164 @@ func Lower(prog *Program) *Lowered { //gcvet:gasloop-ok one iteration per declar
 			la.assigns[asi] = loweredAssign{vi: vi, lo: lo, hi: hi,
 				stride: l.space.Stride(vi), rhs: lowerExpr(prog, as.Expr)}
 		}
+		la.first = l.numAsg
 		l.actions[ai] = la
-		l.maxAsg = max(l.maxAsg, len(a.Assigns))
+		l.numAsg += len(a.Assigns)
 	}
-	return l
+	if err := l.tabulate(g, ints[2*nv+1:2*nv+1+nv], ints[2*nv+1+nv:]); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
+
+// tabulate computes every action's read set and fills the tables that
+// fit: smallest first, under a total of |Σ| entries (4 bytes per state),
+// and only where the table is smaller than Σ itself. The rest stay
+// untabulated and Moves evaluates them state by state. mark and order
+// are zeroed scratch, one int per variable and per action.
+func (l *Lowered) tabulate(g *mc.Gas, mark, order []int) error {
+	n := l.space.Size()
+	numV, numA := len(l.card), len(l.actions)
+	// Read sets, in one backing array: mark[v] == ai+1 when action ai
+	// reads v.
+	reads := make([]int, 0, 3*numA)
+	for ai := range l.actions {
+		a := &l.prog.Actions[ai]
+		markReads(a.Guard, mark, ai+1)
+		for _, as := range a.Assigns {
+			markReads(as.Expr, mark, ai+1)
+		}
+		for _, as := range l.actions[ai].assigns {
+			mark[as.vi] = ai + 1
+		}
+		from := len(reads)
+		la := &l.actions[ai]
+		la.size = 1
+		for v := range mark {
+			if mark[v] == ai+1 {
+				reads = append(reads, v)
+				la.size *= l.card[v]
+			}
+		}
+		la.reads = reads[from:len(reads):len(reads)]
+	}
+
+	// Choose the tables, smallest first, and lay them out back to back.
+	for ai := range order {
+		order[ai] = ai
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return l.actions[a].size - l.actions[b].size })
+	// A delta lies strictly between −|Σ| and |Σ|; below MaxInt32 states
+	// every delta fits an entry without meeting the two markers.
+	total, k := 0, 0
+	for ; k < numA && n < math.MaxInt32; k++ {
+		size := l.actions[order[k]].size
+		if size >= n || total+size > n {
+			break
+		}
+		l.actions[order[k]].base = total
+		total += size
+	}
+	for _, ai := range order[k:] {
+		l.actions[ai].base = total
+	}
+	order = order[:k]
+	if k < numA {
+		l.transitions = n
+	}
+	if k == 0 {
+		l.tables = evaluateOnly
+		return nil
+	}
+	l.tables = make([]int32, total+1)
+	l.tables[total] = entryEvaluate
+	c := l.NewCursor()
+	for _, ai := range order {
+		fires, err := c.fill(g, ai)
+		if err != nil {
+			return err
+		}
+		l.transitions += fires * (n / l.actions[ai].size)
+	}
+
+	// Index the tabulated actions by the variables they read: useOff[v]
+	// starts as the end of v's uses, and placing each use one below it
+	// moves it down to their start.
+	for _, ai := range order {
+		for _, v := range l.actions[ai].reads {
+			l.useOff[v]++
+		}
+	}
+	for v := 1; v <= numV; v++ {
+		l.useOff[v] += l.useOff[v-1]
+	}
+	l.uses = make([]tableUse, l.useOff[numV])
+	for _, ai := range order {
+		weight := 1
+		for _, v := range l.actions[ai].reads {
+			l.useOff[v]--
+			l.uses[l.useOff[v]] = tableUse{act: int32(ai), weight: int32(weight)}
+			weight *= l.card[v]
+		}
+	}
+	return nil
+}
+
+// fill runs action ai's closures at every point of its projection, in
+// the table's index order, ticking g once per entry, and returns how many
+// entries are successors. The cursor's digits outside R_a are never read.
+func (c *Cursor) fill(g *mc.Gas, ai int) (int, error) {
+	la := &c.l.actions[ai]
+	table := c.l.tables[la.base : la.base+la.size]
+	env := c.m.env
+	for _, v := range la.reads {
+		env[v] = 0
+	}
+	fires := 0
+	for p := range table {
+		if err := g.Tick(1); err != nil {
+			return 0, err
+		}
+		switch on, delta, fault := c.run(ai); {
+		case fault:
+			table[p] = entryEvaluate
+		case !on:
+			table[p] = entryDisabled
+		default:
+			table[p] = int32(delta)
+			fires++
+		}
+		for _, v := range la.reads {
+			if env[v]++; env[v] < c.l.card[v] {
+				break
+			}
+			env[v] = 0
+		}
+	}
+	return fires, nil
+}
+
+// markReads sets mark[v] = stamp for every variable e reads.
+func markReads(e Expr, mark []int, stamp int) {
+	switch e := e.(type) {
+	case *Ident:
+		mark[e.Index] = stamp
+	case *Unary:
+		markReads(e.X, mark, stamp)
+	case *Binary:
+		markReads(e.X, mark, stamp)
+		markReads(e.Y, mark, stamp)
+	case *Cond:
+		markReads(e.C, mark, stamp)
+		markReads(e.X, mark, stamp)
+		markReads(e.Y, mark, stamp)
+	}
+}
+
+// Transitions is how many successors a sweep of every state and action
+// yields: exact when every action is tabulated, otherwise a first guess.
+// Sweeps size their successor arrays with it.
+func (l *Lowered) Transitions() int { return l.transitions }
 
 // Space returns the program's state space.
 func (l *Lowered) Space() *system.Space { return l.space }
@@ -195,42 +404,79 @@ func identOperand(p *Program, id *Ident) (i, lo int) {
 	return id.Index, 0
 }
 
+// A Move is an action that is enabled in the cursor's state, or whose
+// guard faulted there, and the state it leads to: a successor, or
+// Faulted. A successor equal to the current state is a τ step: Check
+// rejects duplicate targets, so the delta is 0 only when every
+// assignment rewrote its target's value.
+type Move struct {
+	Action, Next int
+}
+
+// Faulted is the Next of a Move whose guard or assignment faulted; see
+// GuardFaulted, Escaped and Fault.
+const Faulted = -1
+
+// disabled is evaluate's result for a false guard.
+const disabled = -2
+
 // Cursor is one sweep over a lowered program's states in increasing
 // index order. It is not safe for concurrent use.
 type Cursor struct {
 	l     *Lowered
 	state int
 	m     machine
-	// Per assignment of the last Exec: the right-hand side's value and
-	// its evaluation failure, if any.
-	vals []int
-	errs []*EvalError
+	idx   []int // per action: the current state's entry in l.tables
+	// What the closures found the last time they ran an action: per
+	// action the guard's failure, and per assignment (numbered across
+	// the program) the right-hand side's value and failure.
+	guardErrs []*EvalError
+	vals      []int
+	errs      []*EvalError
 }
 
 // NewCursor returns a cursor positioned before state 0.
 func (l *Lowered) NewCursor() *Cursor {
-	return &Cursor{
-		l:     l,
-		state: -1,
-		m:     machine{env: make([]int, len(l.card))},
-		vals:  make([]int, l.maxAsg),
-		errs:  make([]*EvalError, l.maxAsg),
+	nv, na := len(l.card), len(l.actions)
+	ints := make([]int, nv+na+l.numAsg)
+	errs := make([]*EvalError, na+l.numAsg)
+	c := &Cursor{
+		l:         l,
+		state:     -1,
+		m:         machine{env: ints[:nv:nv]},
+		idx:       ints[nv : nv+na : nv+na],
+		guardErrs: errs[:na:na],
+		vals:      ints[nv+na:],
+		errs:      errs[na:],
 	}
+	for ai := range l.actions {
+		c.idx[ai] = l.actions[ai].base
+	}
+	return c
 }
 
 // Next advances to the next state and reports whether there is one.
+// Only the tabulated actions that read a changed digit move their table
+// index.
 func (c *Cursor) Next() bool {
 	if c.state < 0 {
 		c.state = 0
 		return true
 	}
-	env := c.m.env
-	for i, card := range c.l.card {
+	l, env := c.l, c.m.env
+	for i, card := range l.card {
+		uses := l.uses[l.useOff[i]:l.useOff[i+1]]
 		if env[i]++; env[i] < card {
+			for _, u := range uses {
+				c.idx[u.act] += int(u.weight)
+			}
 			c.state++
 			return true
 		}
 		env[i] = 0
+		for _, u := range uses {
+			c.idx[u.act] -= (card - 1) * int(u.weight)
+		}
 	}
 	return false
 }
@@ -238,81 +484,118 @@ func (c *Cursor) Next() bool {
 // State returns the current state's index.
 func (c *Cursor) State() int { return c.state }
 
-// eval runs one lowered expression in the current state.
-func (c *Cursor) eval(n node) (int, error) {
-	c.m.err = nil
-	v := n(&c.m)
-	if c.m.err != nil {
-		return 0, c.m.err
-	}
-	return v, nil
-}
-
 // Init reports whether the current state satisfies the init predicate.
 func (c *Cursor) Init() (bool, error) {
 	if c.l.init == nil {
 		return true, nil
 	}
-	v, err := c.eval(c.l.init)
-	return v != 0, err
+	c.m.err = nil
+	v := c.l.init(&c.m)
+	if c.m.err != nil {
+		return false, c.m.err
+	}
+	return v != 0, nil
 }
 
-// Enabled reports whether action ai's guard holds in the current state.
-func (c *Cursor) Enabled(ai int) (bool, error) {
-	v, err := c.eval(c.l.actions[ai].guard)
-	return v != 0, err
-}
-
-// Exec runs action ai's simultaneous assignments against the current
-// state. It returns the successor state, or −1 when some assignment
-// faulted (see Escaped), and whether every assignment rewrote its target's
-// current value (a τ step; false whenever an assignment faulted).
-func (c *Cursor) Exec(ai int) (next int, identity bool) {
-	next, identity = c.state, true
-	ok := true
-	for asi := range c.l.actions[ai].assigns {
-		as := &c.l.actions[ai].assigns[asi]
-		c.m.err = nil
-		v := as.rhs(&c.m)
-		c.vals[asi], c.errs[asi] = v, c.m.err
-		if c.m.err != nil || v < as.lo || v > as.hi {
-			ok, identity = false, false
+// Moves appends the current state's moves, in action order, to dst and
+// returns the extended slice.
+func (c *Cursor) Moves(dst []Move) []Move {
+	tables := c.l.tables
+	for ai, i := range c.idx {
+		e := tables[i]
+		if e == entryDisabled {
 			continue
 		}
-		if d := v - as.lo - c.m.env[as.vi]; d != 0 {
-			next += d * as.stride
-			identity = false
+		next := c.state + int(e)
+		if e == entryEvaluate {
+			if next = c.evaluate(ai); next == disabled {
+				continue
+			}
 		}
+		dst = append(dst, Move{Action: ai, Next: next})
 	}
-	if !ok {
-		return -1, false
-	}
-	return next, identity
+	return dst
 }
 
-// Escaped reports whether assignment asi of the last Exec of action ai
-// evaluated to a value outside its target's domain. An assignment whose
-// right-hand side failed to evaluate has no value and did not escape.
+// evaluate steps action ai by its closures, for "evaluate" entries and
+// untabulated actions: its successor, disabled, or Faulted.
+func (c *Cursor) evaluate(ai int) int {
+	on, delta, fault := c.run(ai)
+	switch {
+	case fault:
+		return Faulted
+	case !on:
+		return disabled
+	}
+	return c.state + delta
+}
+
+// run evaluates action ai's guard and, when it holds, its simultaneous
+// assignments with the closures on the cursor's digits. It returns the
+// guard's value, the successor's offset from the current state, and
+// whether the guard or an assignment faulted; the faults are kept for
+// GuardFaulted, Escaped and Fault.
+func (c *Cursor) run(ai int) (on bool, delta int, fault bool) {
+	la := &c.l.actions[ai]
+	c.m.err = nil
+	g := la.guard(&c.m)
+	if c.guardErrs[ai] = c.m.err; c.m.err != nil {
+		return false, 0, true
+	}
+	if g == 0 {
+		return false, 0, false
+	}
+	for asi := range la.assigns {
+		as := &la.assigns[asi]
+		c.m.err = nil
+		v := as.rhs(&c.m)
+		c.vals[la.first+asi], c.errs[la.first+asi] = v, c.m.err
+		if c.m.err != nil || v < as.lo || v > as.hi {
+			fault = true
+			continue
+		}
+		delta += (v - as.lo - c.m.env[as.vi]) * as.stride
+	}
+	return true, delta, fault
+}
+
+// GuardFaulted reports whether action ai, Faulted in the current state,
+// failed in its guard rather than in an assignment.
+func (c *Cursor) GuardFaulted(ai int) bool { return c.guardErrs[ai] != nil }
+
+// Escaped reports whether assignment asi of action ai, Faulted in the
+// current state, evaluated to a value outside its target's domain. An
+// assignment whose right-hand side failed to evaluate has no value and
+// did not escape.
 func (c *Cursor) Escaped(ai, asi int) bool {
-	as := &c.l.actions[ai].assigns[asi]
-	v := c.vals[asi]
-	return c.errs[asi] == nil && (v < as.lo || v > as.hi)
+	la := &c.l.actions[ai]
+	as := &la.assigns[asi]
+	v := c.vals[la.first+asi]
+	return c.errs[la.first+asi] == nil && (v < as.lo || v > as.hi)
 }
 
-// execError is the compile error for the first faulted assignment of
-// the last Exec of action ai.
-func (c *Cursor) execError(ai int) error {
-	a := &c.l.prog.Actions[ai]
+// Fault is the compile error of action ai, Faulted in the current state:
+// the guard's failure, or else the first faulted assignment's.
+func (c *Cursor) Fault(ai int) error {
+	err := c.guardErrs[ai]
+	if err == nil {
+		err = c.assignFault(ai)
+	}
+	return evalFailure(c.l.space, c.state, err)
+}
+
+// assignFault is the failure of action ai's first faulted assignment,
+// without its state.
+func (c *Cursor) assignFault(ai int) *EvalError {
+	a, la := &c.l.prog.Actions[ai], &c.l.actions[ai]
 	for asi, as := range a.Assigns {
-		if err := c.errs[asi]; err != nil {
-			return evalFailure(c.l.space, c.state, err)
+		if err := c.errs[la.first+asi]; err != nil {
+			return err
 		}
 		if c.Escaped(ai, asi) {
-			_, encErr := encodeValue(c.l.prog.Vars[c.l.actions[ai].assigns[asi].vi], c.vals[asi])
-			return &EvalError{Pos: as.Pos,
-				Msg:   fmt.Sprintf("action %q: %v", a.Name, encErr),
-				State: c.l.space.StateString(c.state)}
+			_, encErr := encodeValue(c.l.prog.Vars[la.assigns[asi].vi], c.vals[la.first+asi])
+			return &EvalError{Pos: as.Pos, Msg: fmt.Sprintf("action %q: %v", a.Name, encErr)}
 		}
 	}
-	panic("gcl: execError without a faulted assignment")
+	panic("gcl: Fault without a faulted step")
 }

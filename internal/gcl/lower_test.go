@@ -1,0 +1,142 @@
+package gcl
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"repro/internal/mc"
+	"repro/internal/ring"
+)
+
+func mustLower(t *testing.T, g *mc.Gas, src string) (*Lowered, error) {
+	t.Helper()
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	return Lower(g, prog)
+}
+
+// tabulated reports per action whether Lower built its table.
+func tabulated(l *Lowered) []bool {
+	out := make([]bool, len(l.actions))
+	for ai, la := range l.actions {
+		out[ai] = la.base < len(l.tables)-1
+	}
+	return out
+}
+
+// capSrc has 27 states. Its tables, smallest first (ties in declaration
+// order), are inc 3 + zx 9 + xy 9 entries; yz's 9 would take the total
+// past |Σ|, and the action that reads every variable is as large as Σ.
+const capSrc = `var x : 0..2; var y : 0..2; var z : 0..2;
+action zx: z == x -> x := (x + 1) % 3;
+action all: x + y + z > 0 -> x := 0; y := 0; z := 0;
+action xy: x == y -> y := (y + 1) % 3;
+action inc: x < 2 -> x := x + 1;
+action yz: y == z -> z := (z + 1) % 3;`
+
+func TestLowerTablesCappedAtStates(t *testing.T) {
+	g := mc.NewGas(nil, -1)
+	l, err := mustLower(t, g, capSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, false, true, true, false}
+	for ai, got := range tabulated(l) {
+		if got != want[ai] {
+			t.Fatalf("action %q tabulated = %v, want %v", l.prog.Actions[ai].Name, got, want[ai])
+		}
+	}
+	if entries, n := len(l.tables)-1, l.space.Size(); entries != 21 || entries > n {
+		t.Fatalf("%d table entries for %d states, want 21", entries, n)
+	}
+	// Filling ticks once per entry.
+	if g.Spent() != 21 {
+		t.Fatalf("Lower spent %d, want one step per table entry (21)", g.Spent())
+	}
+	if _, err := mustLower(t, mc.NewGas(nil, 20), capSrc); !errors.Is(err, mc.ErrBudgetExhausted) {
+		t.Fatalf("budget below the table entries: err = %v, want mc.ErrBudgetExhausted", err)
+	}
+}
+
+// A program whose every action reads every variable, as the fleet load
+// generator's tiny programs do, builds no tables at all.
+func TestLowerSkipsTablesAsLargeAsSigma(t *testing.T) {
+	l, err := mustLower(t, nil, "var x : 0..5;\naction a: x < 5 -> x := x + 1;\naction b: x == 5 -> x := 0;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.tables) != 1 || l.transitions != l.space.Size() {
+		t.Fatalf("tables %d entries, transitions %d: want only the evaluate entry and a first guess of |Σ|",
+			len(l.tables), l.transitions)
+	}
+}
+
+// On the ring families every action is tabulated, so the sweep's
+// successor count comes exactly from the tables.
+func TestLowerTransitionsExactOnRings(t *testing.T) {
+	for _, src := range []string{ring.Dijkstra3GCL(4), ring.AggressiveThreeGCL(4), ring.KStateGCL(4, 3)} {
+		l, err := mustLower(t, nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ai, ok := range tabulated(l) {
+			if !ok {
+				t.Fatalf("action %q untabulated", l.prog.Actions[ai].Name)
+			}
+		}
+		steps := 0
+		var moves []Move
+		for c := l.NewCursor(); c.Next(); {
+			moves = c.Moves(moves[:0])
+			steps += len(moves)
+		}
+		if l.Transitions() != steps {
+			t.Fatalf("Transitions() = %d, the sweep yields %d successors", l.Transitions(), steps)
+		}
+	}
+}
+
+// tableCancelSrc has 10^4 states and five 1000-entry tables: filling them
+// crosses the meter's context poll interval before the sweep starts.
+const tableCancelSrc = `var a : 0..9; var b : 0..9; var c : 0..9; var d : 0..9;
+action t1: a + b + c > 5 -> a := (a + 1) % 10;
+action t2: b + c + d > 5 -> b := (b + 1) % 10;
+action t3: c + d + a > 5 -> c := (c + 1) % 10;
+action t4: d + a + b > 5 -> d := (d + 1) % 10;
+action t5: a == b -> c := a;`
+
+func TestLowerCancelledStopsTableFilling(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := mc.NewGas(ctx, -1)
+	if _, err := mustLower(t, g, tableCancelSrc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if g.Spent() >= 5000 {
+		t.Fatalf("spent %d steps: the cancellation was noticed only after every table was filled", g.Spent())
+	}
+}
+
+// Table filling keeps the enumeration's allocation count near that of the
+// closure-per-state sweep (168 allocations on D3-N6): the read sets,
+// tables and variable index each live in one backing array.
+func TestCompileAllocs(t *testing.T) {
+	prog, err := Parse(ring.Dijkstra3GCL(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := CompileProgram("d3", prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 180 {
+		t.Fatalf("CompileProgram(D3-N6) makes %.0f allocations, want at most 180", allocs)
+	}
+}

@@ -688,6 +688,63 @@ func TestServiceTimeoutFreesEnumeratingWorker(t *testing.T) {
 	}
 }
 
+// tableSource declares 10^6 states and ten actions that each read five
+// of the six variables: their tables fill all |Σ| = 10^6 entries the
+// enumeration may spend on them, so table filling is a large share of
+// the work a budget or deadline has to bound.
+const tableSource = `var a : 0..9; var b : 0..9; var c : 0..9;
+var d : 0..9; var e : 0..9; var f : 0..9;
+action t1: a + b + c + d > 30 -> e := (e + 1) % 10;
+action t2: b + c + d + e > 30 -> f := (f + 1) % 10;
+action t3: c + d + e + f > 30 -> a := (a + 1) % 10;
+action t4: d + e + f + a > 30 -> b := (b + 1) % 10;
+action t5: e + f + a + b > 30 -> c := (c + 1) % 10;
+action t6: f + a + b + c > 30 -> d := (d + 1) % 10;
+action u1: a == b && c == d -> e := a;
+action u2: b == c && d == e -> f := b;
+action u3: c == d && e == f -> a := c;
+action u4: d == e && f == a -> b := d;`
+
+// TestServiceBudgetAndTimeoutBoundTableFilling: the request's budget and
+// deadline meter the filling of an action's tables as they meter the
+// sweep: a tiny budget is a 422, and a deadline that fires while the only
+// worker is tabulating is a 504 that frees the worker promptly.
+func TestServiceBudgetAndTimeoutBoundTableFilling(t *testing.T) {
+	prog, err := gcl.Parse(tableSource)
+	if err == nil {
+		err = gcl.Check(prog)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	if _, err := gcl.Lower(nil, prog); err != nil {
+		t.Fatal(err)
+	}
+	tabulate := time.Since(started)
+
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: -1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/selfstab", SelfStabRequest{Source: tableSource, Budget: 1000})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "budget exhausted") {
+		t.Fatalf("status %d, want 422 budget exhausted: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/selfstab", SelfStabRequest{Source: tableSource, TimeoutMS: 5})
+	timedOut := time.Now()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	}
+	for svc.pool.inFlight.Load() != 0 {
+		if time.Since(timedOut) > tabulate {
+			t.Fatalf("worker still busy %v after the 504; filling the tables alone takes %v", time.Since(timedOut), tabulate)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {

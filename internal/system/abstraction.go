@@ -16,7 +16,7 @@ import (
 // totality.
 type Abstraction struct {
 	nC, nA int
-	m      []int
+	m      []int // nil: the identity
 }
 
 // ErrNotTotal reports a mapping function that produced an out-of-range
@@ -54,17 +54,19 @@ func MapSpaces(cSp, aSp *Space, f func(c Vals, a Vals)) (*Abstraction, error) {
 }
 
 // Identity returns the identity abstraction on a shared state space, used
-// when C and A are over the same Σ (the Section 2 default).
+// when C and A are over the same Σ (the Section 2 default). It stores no
+// mapping.
 func Identity(n int) *Abstraction {
-	ab := &Abstraction{nC: n, nA: n, m: make([]int, n)}
-	for i := range ab.m {
-		ab.m[i] = i
-	}
-	return ab
+	return &Abstraction{nC: n, nA: n}
 }
 
 // Of returns α(s).
-func (ab *Abstraction) Of(s int) int { return ab.m[s] }
+func (ab *Abstraction) Of(s int) int {
+	if ab.m == nil {
+		return s
+	}
+	return ab.m[s]
+}
 
 // NumConcrete returns |Σ_C|.
 func (ab *Abstraction) NumConcrete() int { return ab.nC }
@@ -75,6 +77,9 @@ func (ab *Abstraction) NumAbstract() int { return ab.nA }
 // Onto reports whether every abstract state is the image of some concrete
 // state (the letter of Section 2.3's definition).
 func (ab *Abstraction) Onto() bool {
+	if ab.m == nil {
+		return true
+	}
 	seen := bitset.New(ab.nA)
 	for _, a := range ab.m {
 		seen.Add(a)
@@ -86,7 +91,7 @@ func (ab *Abstraction) Onto() bool {
 // the given concrete set.
 func (ab *Abstraction) Image(concrete *bitset.Set) *bitset.Set {
 	out := bitset.New(ab.nA)
-	concrete.ForEach(func(s int) { out.Add(ab.m[s]) })
+	concrete.ForEach(func(s int) { out.Add(ab.Of(s)) })
 	return out
 }
 
@@ -94,8 +99,8 @@ func (ab *Abstraction) Image(concrete *bitset.Set) *bitset.Set {
 // abstract set.
 func (ab *Abstraction) Preimage(abstract *bitset.Set) *bitset.Set {
 	out := bitset.New(ab.nC)
-	for s, a := range ab.m {
-		if abstract.Has(a) {
+	for s := range ab.nC {
+		if abstract.Has(ab.Of(s)) {
 			out.Add(s)
 		}
 	}
@@ -106,7 +111,7 @@ func (ab *Abstraction) Preimage(abstract *bitset.Set) *bitset.Set {
 func (ab *Abstraction) MapSeq(seq []int) []int {
 	out := make([]int, len(seq))
 	for i, s := range seq {
-		out[i] = ab.m[s]
+		out[i] = ab.Of(s)
 	}
 	return out
 }

@@ -20,6 +20,15 @@ func TestIdentityAbstraction(t *testing.T) {
 	if ab.NumConcrete() != 5 || ab.NumAbstract() != 5 {
 		t.Fatal("sizes wrong")
 	}
+	set := bitset.New(5)
+	set.Add(1)
+	set.Add(4)
+	if img, pre := ab.Image(set), ab.Preimage(set); !img.Equal(set) || !pre.Equal(set) {
+		t.Fatalf("Image %v, Preimage %v of %v", img.Members(), pre.Members(), set.Members())
+	}
+	if seq := ab.MapSeq([]int{3, 0, 3}); len(seq) != 3 || seq[0] != 3 || seq[1] != 0 || seq[2] != 3 {
+		t.Fatalf("MapSeq = %v", seq)
+	}
 }
 
 func TestNewAbstractionTotalityError(t *testing.T) {
