@@ -104,7 +104,8 @@ func BenchmarkFairStabilizationCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerate measures guarded-command enumeration into automata.
+// BenchmarkEnumerate measures building ring automata: generating their
+// guarded-command source and compiling it.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, n := range []int{3, 5, 7} {
 		b.Run(fmt.Sprintf("Dijkstra3/N=%d", n), func(b *testing.B) {

@@ -47,19 +47,16 @@ func run(args []string, out io.Writer) error {
 	failed := 0
 	matched := false
 	var collected []*experiments.Report
-	for _, fn := range experiments.All() {
+	for _, e := range experiments.All() {
 		if *list {
-			// Reports are cheap to *construct* only by running; for the
-			// listing we run and print the header line only.
-			rep := fn()
-			fmt.Fprintf(out, "%s  %s\n", rep.ID, rep.Title)
+			fmt.Fprintf(out, "%s  %s\n", e.ID, e.Title)
 			matched = true
 			continue
 		}
-		rep := fn()
-		if len(wanted) > 0 && !wanted[rep.ID] {
+		if len(wanted) > 0 && !wanted[e.ID] {
 			continue
 		}
+		rep := e.Run()
 		matched = true
 		if *asJSON {
 			collected = append(collected, rep)

@@ -13,33 +13,19 @@ import (
 // legitimate behavior is the self-loop region {0}.
 func randomLabeled(rng *rand.Rand) (*system.LabeledSystem, *system.System) {
 	card := 3 + rng.Intn(4)
-	sp := system.NewSpace(system.Int("x", card))
 	nActs := 2 + rng.Intn(4)
-	acts := make([]system.Action, 0, nActs)
+	names := []string{"stay"}
 	// Always include the legitimate self-loop at 0 so the spec region is
 	// inhabited.
-	acts = append(acts, system.Action{
-		Name:   "stay",
-		Guard:  func(v system.Vals) bool { return v[0] == 0 },
-		Effect: func(v system.Vals) { v[0] = 0 },
-	})
+	moves := []func(int) int{when(zero, toZero)}
 	for i := 1; i < nActs; i++ {
 		lo := rng.Intn(card)
 		target := rng.Intn(card)
-		acts = append(acts, system.Action{
-			Name:  fmt.Sprintf("a%d", i),
-			Guard: func(v system.Vals) bool { return v[0] >= lo && v[0] != target },
-			Effect: func(v system.Vals) {
-				v[0] = target
-			},
-		})
+		names = append(names, fmt.Sprintf("a%d", i))
+		moves = append(moves, when(func(x int) bool { return x >= lo && x != target },
+			func(int) int { return target }))
 	}
-	c := system.EnumerateLabeled("randL", sp, acts, func(v system.Vals) bool { return v[0] == 0 })
-
-	ab := system.NewBuilder("specA", card)
-	ab.AddTransition(0, 0)
-	ab.AddInit(0)
-	return c, ab.Build()
+	return labeledCounter(card, names, moves...), specZero(card)
 }
 
 // TestQuickFairWeakerThanUnfair: on random labeled systems, whenever the

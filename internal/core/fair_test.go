@@ -7,28 +7,58 @@ import (
 	"repro/internal/system"
 )
 
+// labeledCounter builds, through the raw labeled constructor, a system
+// over x ∈ 0..card−1 with x = 0 initial: action a moves x to moves[a](x),
+// and is disabled where that is −1.
+func labeledCounter(card int, actions []string, moves ...func(x int) int) *system.LabeledSystem {
+	b := system.NewSpaceBuilder("C", system.NewSpace(system.Int("x", card)))
+	b.AddInit(0)
+	off := []int{0}
+	var edges []system.LabeledEdge
+	for x := 0; x < card; x++ {
+		for a, move := range moves {
+			if to := move(x); to >= 0 {
+				b.AddTransition(x, to)
+				edges = append(edges, system.LabeledEdge{Action: a, To: to})
+			}
+		}
+		off = append(off, len(edges))
+	}
+	return system.NewLabeled(b.Build(), actions, off, edges)
+}
+
+// when is the move to x' where cond holds, and disabled elsewhere.
+func when(cond func(x int) bool, to func(x int) int) func(int) int {
+	return func(x int) int {
+		if cond(x) {
+			return to(x)
+		}
+		return -1
+	}
+}
+
+func positive(x int) bool { return x > 0 }
+func zero(x int) bool     { return x == 0 }
+func toZero(int) int      { return 0 }
+func chaseMove(x int) int { return 3 - x } // 1 ↔ 2
+
+// specZero is the specification over n states whose only behavior is the
+// initial self-loop at 0.
+func specZero(n int) *system.System {
+	ab := system.NewBuilder("A", n)
+	ab.AddTransition(0, 0)
+	ab.AddInit(0)
+	return ab.Build()
+}
+
 // starveFixture builds a labeled system where an unfair daemon can loop
 // on a "chase" action forever while a continuously enabled "recover"
 // action would leave the bad region: states 1 ↔ 2 chase each other, and
 // recover (enabled in both) exits to the legitimate self-loop at 0.
 func starveFixture() (*system.LabeledSystem, *system.System) {
-	sp := system.NewSpace(system.Int("x", 3))
-	c := system.EnumerateLabeled("C", sp, []system.Action{
-		{Name: "chase", Guard: func(v system.Vals) bool { return v[0] > 0 }, Effect: func(v system.Vals) {
-			v[0] = 3 - v[0] // 1 ↔ 2
-		}},
-		{Name: "recover", Guard: func(v system.Vals) bool { return v[0] > 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-		{Name: "stay", Guard: func(v system.Vals) bool { return v[0] == 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-	}, func(v system.Vals) bool { return v[0] == 0 })
-
-	ab := system.NewBuilder("A", 3)
-	ab.AddTransition(0, 0)
-	ab.AddInit(0)
-	return c, ab.Build()
+	c := labeledCounter(3, []string{"chase", "recover", "stay"},
+		when(positive, chaseMove), when(positive, toZero), when(zero, toZero))
+	return c, specZero(3)
 }
 
 func TestFairStabilizingBreaksStarvation(t *testing.T) {
@@ -52,20 +82,8 @@ func TestFairStabilizingBreaksStarvation(t *testing.T) {
 func TestFairStabilizingStillCatchesRealDivergence(t *testing.T) {
 	// A chase loop with NO escape stays a violation under fairness: the
 	// only action enabled on the loop is the chase itself, which is taken.
-	sp := system.NewSpace(system.Int("x", 3))
-	c := system.EnumerateLabeled("C", sp, []system.Action{
-		{Name: "chase", Guard: func(v system.Vals) bool { return v[0] > 0 }, Effect: func(v system.Vals) {
-			v[0] = 3 - v[0]
-		}},
-		{Name: "stay", Guard: func(v system.Vals) bool { return v[0] == 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-	}, func(v system.Vals) bool { return v[0] == 0 })
-	ab := system.NewBuilder("A", 3)
-	ab.AddTransition(0, 0)
-	ab.AddInit(0)
-
-	rep := FairStabilizing(c, ab.Build(), nil)
+	c := labeledCounter(3, []string{"chase", "stay"}, when(positive, chaseMove), when(zero, toZero))
+	rep := FairStabilizing(c, specZero(3), nil)
 	if rep.Holds {
 		t.Fatalf("fair check should still fail: %s", rep.Verdict)
 	}
@@ -75,17 +93,9 @@ func TestFairStabilizingStillCatchesRealDivergence(t *testing.T) {
 }
 
 func TestFairStabilizingBadTerminal(t *testing.T) {
-	sp := system.NewSpace(system.Int("x", 2))
-	c := system.EnumerateLabeled("C", sp, []system.Action{
-		{Name: "stay", Guard: func(v system.Vals) bool { return v[0] == 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-		// x=1 is terminal in C.
-	}, func(v system.Vals) bool { return v[0] == 0 })
-	ab := system.NewBuilder("A", 2)
-	ab.AddTransition(0, 0)
-	ab.AddInit(0)
-	rep := FairStabilizing(c, ab.Build(), nil)
+	// x=1 is terminal in C.
+	c := labeledCounter(2, []string{"stay"}, when(zero, toZero))
+	rep := FairStabilizing(c, specZero(2), nil)
 	if rep.Holds {
 		t.Fatalf("bad terminal accepted under fairness: %s", rep.Verdict)
 	}
@@ -97,29 +107,19 @@ func TestFairStabilizingBadTerminal(t *testing.T) {
 func TestFairImpliedByUnfair(t *testing.T) {
 	// Whenever the unfair check passes, the fair check must pass too
 	// (fair computations are a subset of all computations).
-	c, a := starveFixture()
-	// Restrict to the recovering part: drop the chase action.
-	sp := system.NewSpace(system.Int("x", 3))
-	onlyRecover := system.EnumerateLabeled("C2", sp, []system.Action{
-		{Name: "recover", Guard: func(v system.Vals) bool { return v[0] > 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-		{Name: "stay", Guard: func(v system.Vals) bool { return v[0] == 0 }, Effect: func(v system.Vals) {
-			v[0] = 0
-		}},
-	}, func(v system.Vals) bool { return v[0] == 0 })
+	// The starvation fixture restricted to its recovering part: no chase.
+	a := specZero(3)
+	onlyRecover := labeledCounter(3, []string{"recover", "stay"}, when(positive, toZero), when(zero, toZero))
 	if rep := Stabilizing(onlyRecover.Base(), a, nil); !rep.Holds {
 		t.Fatalf("unfair: %s", rep.Verdict)
 	}
 	if rep := FairStabilizing(onlyRecover, a, nil); !rep.Holds {
 		t.Fatalf("fair must follow: %s", rep.Verdict)
 	}
-	_ = c
 }
 
 func TestFairStabilizingSpaceMismatch(t *testing.T) {
-	sp := system.NewSpace(system.Int("x", 2))
-	c := system.EnumerateLabeled("C", sp, nil, nil)
+	c := labeledCounter(2, nil)
 	rep := FairStabilizing(c, line("A", 3), nil)
 	if rep.Holds {
 		t.Fatal("mismatched spaces accepted")

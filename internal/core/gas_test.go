@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mc"
 	"repro/internal/ring"
 )
@@ -23,36 +24,36 @@ func TestGasVariantsAgreeWithPlain(t *testing.T) {
 	d3, btr := three.Dijkstra3(), b.System()
 	g := mc.NewGas(context.Background(), -1)
 
-	rep, err := StabilizingGas(g, d3, btr, ab)
+	rep, err := core.StabilizingGas(g, d3, btr, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Stabilizing(d3, btr, ab)
+	plain := core.Stabilizing(d3, btr, ab)
 	if rep.Holds != plain.Holds || rep.Reason != plain.Reason {
 		t.Fatalf("metered stabilization diverged:\n%v\nvs\n%v", rep.Verdict, plain.Verdict)
 	}
 
-	conv, err := ConvergenceRefinementGas(g, d3, btr, ab)
+	conv, err := core.ConvergenceRefinementGas(g, d3, btr, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conv.Holds != ConvergenceRefinement(d3, btr, ab).Holds {
+	if conv.Holds != core.ConvergenceRefinement(d3, btr, ab).Holds {
 		t.Fatal("metered convergence refinement diverged")
 	}
 
-	vInit, err := RefinementInitGas(g, d3, btr, ab)
+	vInit, err := core.RefinementInitGas(g, d3, btr, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vInit.Holds != RefinementInit(d3, btr, ab).Holds {
+	if vInit.Holds != core.RefinementInit(d3, btr, ab).Holds {
 		t.Fatal("metered [⊑]_init diverged")
 	}
 
-	vEvery, err := EverywhereRefinementGas(g, d3, btr, ab)
+	vEvery, err := core.EverywhereRefinementGas(g, d3, btr, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vEvery.Holds != EverywhereRefinement(d3, btr, ab).Holds {
+	if vEvery.Holds != core.EverywhereRefinement(d3, btr, ab).Holds {
 		t.Fatal("metered [⊑] diverged")
 	}
 
@@ -65,14 +66,14 @@ func TestGasCancelsStabilization(t *testing.T) {
 	d3 := ring.NewThreeState(5).Dijkstra3()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SelfStabilizingGas(mc.NewGas(ctx, -1), d3); !errors.Is(err, context.Canceled) {
+	if _, err := core.SelfStabilizingGas(mc.NewGas(ctx, -1), d3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
 func TestGasBudgetBoundsChecks(t *testing.T) {
 	d3 := ring.NewThreeState(5).Dijkstra3()
-	if _, err := SelfStabilizingGas(mc.NewGas(nil, 10), d3); !errors.Is(err, mc.ErrBudgetExhausted) {
+	if _, err := core.SelfStabilizingGas(mc.NewGas(nil, 10), d3); !errors.Is(err, mc.ErrBudgetExhausted) {
 		t.Fatalf("stabilization: want ErrBudgetExhausted, got %v", err)
 	}
 	b := ring.NewBTR(3)
@@ -81,7 +82,7 @@ func TestGasBudgetBoundsChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConvergenceRefinementGas(mc.NewGas(nil, 10), four.C1(), b.System(), ab); !errors.Is(err, mc.ErrBudgetExhausted) {
+	if _, err := core.ConvergenceRefinementGas(mc.NewGas(nil, 10), four.C1(), b.System(), ab); !errors.Is(err, mc.ErrBudgetExhausted) {
 		t.Fatalf("convergence: want ErrBudgetExhausted, got %v", err)
 	}
 }

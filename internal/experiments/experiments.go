@@ -74,31 +74,39 @@ func expectRow(name string, got, want bool, detail string) Row {
 	return Row{Name: name, Detail: detail, Pass: got == want}
 }
 
+// Experiment is one entry of the suite: its ID and title, known without
+// running it, and the function that runs it. Run's report carries the
+// same ID and title.
+type Experiment struct {
+	ID, Title string
+	Run       func() *Report
+}
+
 // All returns the experiments in order. Each function is self-contained
 // and deterministic.
-func All() []func() *Report {
-	return []func() *Report{
-		E1Fig1,
-		E2Compiler,
-		E3Bidding,
-		E4Theorem6,
-		E5Lemma7,
-		E6Dijkstra4,
-		E7Lemma9,
-		E8Dijkstra3,
-		E9NewThreeState,
-		E10KState,
-		E11Convergence,
-		E12WrapperInterference,
-		E13RefinementHierarchy,
-		E14SynchronousDaemon,
-		E15FairDaemon,
-		E16ClusterRecovery,
-		E17ChaosCampaign,
-		E18CrashRecovery,
-		E19Fleet,
-		E20Journal,
-		E21Retention,
-		E22GrayFailure,
+func All() []Experiment {
+	return []Experiment{
+		{"E1", "Figure 1: plain refinement is not stabilization preserving", E1Fig1},
+		{"E2", "Section 1: compilation does not preserve tolerance", E2Compiler},
+		{"E3", "Section 1: bidding server under single-bid corruption", E3Bidding},
+		{"E4", "Theorem 6: BTR [] W1 [] W2 is stabilizing to BTR", E4Theorem6},
+		{"E5", "Lemma 7: [C1 ⪯ BTR] via the 4-state mapping", E5Lemma7},
+		{"E6", "Theorem 8 + Dijkstra's 4-state system", E6Dijkstra4},
+		{"E7", "Lemma 9: BTR3 [] W1'' [] W2' is stabilizing to BTR", E7Lemma9},
+		{"E8", "Lemma 10, Theorem 11: Dijkstra's 3-state system", E8Dijkstra3},
+		{"E9", "Section 6: the new 3-state system C3", E9NewThreeState},
+		{"E10", "K-state system (technical-report derivation)", E10KState},
+		{"E11", "Convergence time of the derived protocols", E11Convergence},
+		{"E12", "Wrapper interference: W1'' creation vs W2' deletion", E12WrapperInterference},
+		{"E13", "Refinement hierarchy: everywhere ⊂ convergence ⊂ everywhere-eventually", E13RefinementHierarchy},
+		{"E14", "Extension: the derived systems under a synchronous daemon", E14SynchronousDaemon},
+		{"E15", "Extension: Lemma 9 under a weakly-fair daemon", E15FairDaemon},
+		{"E16", "Extension: fault-recovery curve in the message-passing cluster runtime", E16ClusterRecovery},
+		{"E17", "Extension: recovery under sustained fault pressure and partitions (chaos campaigns)", E17ChaosCampaign},
+		{"E18", "Extension: crash recovery from validated snapshots vs arbitrary resume", E18CrashRecovery},
+		{"E19", "Extension: replica fleet scaling — consistent-hash routing and anti-entropy sync", E19Fleet},
+		{"E20", "Extension: event-sourced journal — replay equivalence, torn-tail resync, group-commit throughput", E20Journal},
+		{"E21", "Extension: journal retention — bounded disk, crash-safe compaction, degradation ladder", E21Retention},
+		{"E22", "Extension: gray-failure hardening — breakers, hedged forwards, deadline budgets, flap quarantine", E22GrayFailure},
 	}
 }

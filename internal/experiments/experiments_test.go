@@ -11,8 +11,8 @@ func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
 	}
-	for _, fn := range All() {
-		rep := fn()
+	for _, e := range All() {
+		rep := e.Run()
 		if !rep.Pass() {
 			t.Errorf("%s failed:\n%s", rep.ID, rep)
 		}
@@ -31,12 +31,15 @@ func TestReportString(t *testing.T) {
 
 func TestExperimentIDsUniqueAndOrdered(t *testing.T) {
 	seen := make(map[string]bool)
-	for i, fn := range All() {
-		rep := fn()
-		if seen[rep.ID] {
-			t.Fatalf("duplicate experiment ID %s", rep.ID)
+	for i, e := range All() {
+		if seen[e.ID] {
+			t.Fatalf("duplicate experiment ID %s", e.ID)
 		}
-		seen[rep.ID] = true
+		seen[e.ID] = true
+		rep := e.Run()
+		if rep.ID != e.ID || rep.Title != e.Title {
+			t.Fatalf("entry %s %q runs report %s %q", e.ID, e.Title, rep.ID, rep.Title)
+		}
 		if rep.Title == "" || rep.Claim == "" || len(rep.Rows) == 0 {
 			t.Fatalf("experiment %d (%s) under-specified", i, rep.ID)
 		}

@@ -2,6 +2,7 @@ package gcl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/mc"
@@ -36,29 +37,50 @@ func CompileProgram(name string, prog *Program) (*Compiled, error) {
 // tier, and returns g's error (cancellation or budget exhaustion) instead
 // of finishing the sweep.
 func CompileProgramGas(g *mc.Gas, name string, prog *Program) (*Compiled, error) {
+	c, _, err := compile(g, name, prog, false)
+	return c, err
+}
+
+// CompileLabeled checks and enumerates an already-parsed program keeping
+// action identity: each transition is labeled with the action that
+// produced it. Its base automaton is CompileProgram's.
+func CompileLabeled(name string, prog *Program) (*system.LabeledSystem, error) {
+	_, ls, err := compile(nil, name, prog, true)
+	return ls, err
+}
+
+// compile is the sweep behind CompileProgramGas and CompileLabeled. With
+// labeled set it also records each move's action and successor, in
+// action order, before FromSuccessors sorts the rows in place; without
+// it, it records and allocates nothing more.
+func compile(g *mc.Gas, name string, prog *Program, labeled bool) (*Compiled, *system.LabeledSystem, error) {
 	if err := Check(prog); err != nil {
-		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
+		return nil, nil, fmt.Errorf("gcl: checking %s: %w", name, err)
 	}
 	l, err := Lower(g, prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp := l.Space()
 	n := sp.Size()
 	numA := len(prog.Actions)
 	off := make([]int, n+1)
 	succ := make([]int, 0, l.Transitions())
+	var edges []system.LabeledEdge
+	if labeled {
+		edges = make([]system.LabeledEdge, 0, l.Transitions())
+	}
 	init := bitset.New(n)
 	moves := make([]Move, 0, numA)
 	c := l.NewCursor()
 	for c.Next() {
 		if err := g.Tick(numA); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s := c.State()
 		isInit, err := c.Init()
 		if err != nil {
-			return nil, evalFailure(sp, s, err)
+			return nil, nil, evalFailure(sp, s, err)
 		}
 		if isInit {
 			init.Add(s)
@@ -66,14 +88,29 @@ func CompileProgramGas(g *mc.Gas, name string, prog *Program) (*Compiled, error)
 		moves = c.Moves(moves[:0])
 		for _, m := range moves {
 			if m.Next == Faulted {
-				return nil, c.Fault(m.Action)
+				return nil, nil, c.Fault(m.Action)
 			}
 			succ = append(succ, m.Next)
+			if labeled {
+				edges = append(edges, system.LabeledEdge{Action: m.Action, To: m.Next})
+			}
 		}
 		off[s+1] = len(succ)
 	}
+	var edgeOff []int
+	if labeled {
+		edgeOff = slices.Clone(off)
+	}
 	sys := system.FromSuccessors(name, sp, off, succ, init)
-	return &Compiled{Program: prog, Space: sp, System: sys}, nil
+	compiled := &Compiled{Program: prog, Space: sp, System: sys}
+	if !labeled {
+		return compiled, nil, nil
+	}
+	names := make([]string, numA)
+	for ai, a := range prog.Actions {
+		names[ai] = a.Name
+	}
+	return compiled, system.NewLabeled(sys, names, edgeOff, edges), nil
 }
 
 // SpaceOf builds the structured state space of a program's declarations.

@@ -4,22 +4,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"repro/internal/ring"
 	"repro/internal/system"
 )
 
 // referenceCompile is the enumerator the lowered sweep replaced, kept as
 // the differential oracle: it decodes every state, evaluates guards and
 // right-hand sides with the tree-walking Eval, and collects transitions
-// in a system.Builder.
-func referenceCompile(name string, prog *Program) (*system.System, error) {
+// in a system.Builder. It also returns per state the labeled edges, one
+// per enabled action in action order.
+func referenceCompile(name string, prog *Program) (*system.System, [][]system.LabeledEdge, error) {
 	if err := Check(prog); err != nil {
-		return nil, fmt.Errorf("gcl: checking %s: %w", name, err)
+		return nil, nil, fmt.Errorf("gcl: checking %s: %w", name, err)
 	}
 	sp := SpaceOf(prog)
 	b := system.NewSpaceBuilder(name, sp)
+	rows := make([][]system.LabeledEdge, sp.Size())
 	env := make(system.Vals, len(prog.Vars))
 	next := make(system.Vals, len(prog.Vars))
 	for s := 0; s < sp.Size(); s++ {
@@ -29,7 +31,7 @@ func referenceCompile(name string, prog *Program) (*system.System, error) {
 		} else {
 			isInit, err := EvalBool(prog, prog.Init, env)
 			if err != nil {
-				return nil, evalFailure(sp, s, err)
+				return nil, nil, evalFailure(sp, s, err)
 			}
 			if isInit {
 				b.AddInit(s)
@@ -39,7 +41,7 @@ func referenceCompile(name string, prog *Program) (*system.System, error) {
 			a := &prog.Actions[ai]
 			enabled, err := EvalBool(prog, a.Guard, env)
 			if err != nil {
-				return nil, evalFailure(sp, s, err)
+				return nil, nil, evalFailure(sp, s, err)
 			}
 			if !enabled {
 				continue
@@ -48,25 +50,28 @@ func referenceCompile(name string, prog *Program) (*system.System, error) {
 			for _, as := range a.Assigns {
 				v, err := Eval(prog, as.Expr, env)
 				if err != nil {
-					return nil, evalFailure(sp, s, err)
+					return nil, nil, evalFailure(sp, s, err)
 				}
 				vi := varIndex(prog, as.Name)
 				enc, err := encodeValue(prog.Vars[vi], v)
 				if err != nil {
-					return nil, &EvalError{Pos: as.Pos,
+					return nil, nil, &EvalError{Pos: as.Pos,
 						Msg:   fmt.Sprintf("action %q: %v", a.Name, err),
 						State: sp.StateString(s)}
 				}
 				next[vi] = enc
 			}
 			b.AddTransition(s, sp.Encode(next))
+			rows[s] = append(rows[s], system.LabeledEdge{Action: ai, To: sp.Encode(next)})
 		}
 	}
-	return b.Build(), nil
+	return b.Build(), rows, nil
 }
 
 // assertSameAsReference compiles src both ways and demands the same
-// automaton or the same error text. It reports whether src compiled.
+// automaton or the same error text; where it compiles, CompileLabeled
+// must yield the same automaton with the reference's labeled edges. It
+// reports whether src compiled.
 func assertSameAsReference(t *testing.T, name, src string) bool {
 	t.Helper()
 	p1, err := Parse(src)
@@ -75,7 +80,7 @@ func assertSameAsReference(t *testing.T, name, src string) bool {
 	}
 	p2, _ := Parse(src)
 	got, gotErr := CompileProgram(name, p1)
-	want, wantErr := referenceCompile(name, p2)
+	want, wantRows, wantErr := referenceCompile(name, p2)
 	switch {
 	case (gotErr == nil) != (wantErr == nil):
 		t.Fatalf("%s: CompileProgram error %v, reference error %v", name, gotErr, wantErr)
@@ -92,6 +97,24 @@ func assertSameAsReference(t *testing.T, name, src string) bool {
 	if got.System.Name() != want.Name() || !got.System.Space().SameShape(want.Space()) {
 		t.Fatalf("%s: name or space differs", name)
 	}
+	p3, _ := Parse(src)
+	ls, err := CompileLabeled(name, p3)
+	if err != nil {
+		t.Fatalf("%s: CompileLabeled: %v", name, err)
+	}
+	if !system.Equal(ls.Base(), got.System) || ls.Base().Name() != name || ls.NumActions() != len(p3.Actions) {
+		t.Fatalf("%s: CompileLabeled's base or actions differ from CompileProgram's", name)
+	}
+	for ai, a := range p3.Actions {
+		if ls.ActionName(ai) != a.Name {
+			t.Fatalf("%s: action %d named %q, want %q", name, ai, ls.ActionName(ai), a.Name)
+		}
+	}
+	for s, row := range wantRows {
+		if edges := ls.Edges(s); !slices.Equal(edges, row) {
+			t.Fatalf("%s: labeled edges of %s are %v, Eval gives %v", name, want.StateString(s), edges, row)
+		}
+	}
 	return true
 }
 
@@ -106,16 +129,6 @@ func TestCompileMatchesReferenceExamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameAsReference(t, filepath.Base(f), string(src))
-	}
-}
-
-func TestCompileMatchesReferenceRings(t *testing.T) {
-	for n := 2; n <= 6; n++ {
-		assertSameAsReference(t, fmt.Sprintf("d3-N%d", n), ring.Dijkstra3GCL(n))
-		assertSameAsReference(t, fmt.Sprintf("a3-N%d", n), ring.AggressiveThreeGCL(n))
-		for _, k := range []int{3, 4} {
-			assertSameAsReference(t, fmt.Sprintf("k%d-N%d", k, n), ring.KStateGCL(n, k))
-		}
 	}
 }
 

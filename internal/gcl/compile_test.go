@@ -3,6 +3,7 @@ package gcl
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,6 +108,49 @@ action inc: x < 3 -> x := x + 1;
 	}
 	if got := sys.InitStates(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("init = %v", got)
+	}
+}
+
+// TestCompileLabeled: each enabled action contributes one edge labeled
+// with it, in action order; a τ step is kept as a self-loop edge; two
+// actions reaching the same successor keep one edge each; and without an
+// init predicate every state is initial.
+func TestCompileLabeled(t *testing.T) {
+	prog, err := Parse(`
+var x : 0..2;
+action inc: x < 2 -> x := x + 1;
+action tau: x == 1 -> x := x;
+action top: x >= 1 -> x := 2;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := CompileLabeled("labeled", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls.NumActions() != 3 || ls.ActionName(0) != "inc" || ls.ActionName(2) != "top" {
+		t.Fatal("action registry wrong")
+	}
+	want := [][]system.LabeledEdge{
+		{{Action: 0, To: 1}},
+		{{Action: 0, To: 2}, {Action: 1, To: 1}, {Action: 2, To: 2}},
+		{{Action: 2, To: 2}},
+	}
+	for s, row := range want {
+		if got := ls.Edges(s); !slices.Equal(got, row) {
+			t.Fatalf("edges(%d) = %v, want %v", s, got, row)
+		}
+	}
+	if !ls.Enabled(1, 1) || ls.Enabled(0, 1) || ls.Enabled(2, 0) {
+		t.Fatal("enabledness wrong")
+	}
+	base := ls.Base()
+	if base.NumTransitions() != 4 || !base.HasTransition(1, 1) || base.Init().Count() != 3 {
+		t.Fatalf("base = %s", base)
+	}
+	if _, err := CompileLabeled("bad", &Program{Vars: prog.Vars, Actions: []ActionDecl{{Name: "a", Guard: &BoolLit{Value: true}}}}); err == nil {
+		t.Fatal("unchecked program compiled")
 	}
 }
 

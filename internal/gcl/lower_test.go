@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mc"
-	"repro/internal/ring"
 )
 
 func mustLower(t *testing.T, g *mc.Gas, src string) (*Lowered, error) {
@@ -77,31 +76,6 @@ func TestLowerSkipsTablesAsLargeAsSigma(t *testing.T) {
 	}
 }
 
-// On the ring families every action is tabulated, so the sweep's
-// successor count comes exactly from the tables.
-func TestLowerTransitionsExactOnRings(t *testing.T) {
-	for _, src := range []string{ring.Dijkstra3GCL(4), ring.AggressiveThreeGCL(4), ring.KStateGCL(4, 3)} {
-		l, err := mustLower(t, nil, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ai, ok := range tabulated(l) {
-			if !ok {
-				t.Fatalf("action %q untabulated", l.prog.Actions[ai].Name)
-			}
-		}
-		steps := 0
-		var moves []Move
-		for c := l.NewCursor(); c.Next(); {
-			moves = c.Moves(moves[:0])
-			steps += len(moves)
-		}
-		if l.Transitions() != steps {
-			t.Fatalf("Transitions() = %d, the sweep yields %d successors", l.Transitions(), steps)
-		}
-	}
-}
-
 // tableCancelSrc has 10^4 states and five 1000-entry tables: filling them
 // crosses the meter's context poll interval before the sweep starts.
 const tableCancelSrc = `var a : 0..9; var b : 0..9; var c : 0..9; var d : 0..9;
@@ -120,23 +94,5 @@ func TestLowerCancelledStopsTableFilling(t *testing.T) {
 	}
 	if g.Spent() >= 5000 {
 		t.Fatalf("spent %d steps: the cancellation was noticed only after every table was filled", g.Spent())
-	}
-}
-
-// Table filling keeps the enumeration's allocation count near that of the
-// closure-per-state sweep (168 allocations on D3-N6): the read sets,
-// tables and variable index each live in one backing array.
-func TestCompileAllocs(t *testing.T) {
-	prog, err := Parse(ring.Dijkstra3GCL(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := CompileProgram("d3", prog); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 180 {
-		t.Fatalf("CompileProgram(D3-N6) makes %.0f allocations, want at most 180", allocs)
 	}
 }

@@ -7,6 +7,12 @@
 // report derivation), together with the Section 2.3 abstraction functions
 // relating the encodings to BTR.
 //
+// Every automaton is compiled by internal/gcl from guarded-command source
+// in the paper's notation, generated per ring size by templates in this
+// package. The Go side keeps only views of the state space (token
+// predicates, abstraction functions) and the compositions (Box,
+// PriorityBox).
+//
 // Processes are indexed 0..N as in the paper (N+1 processes; 0 is the
 // bottom, N the top). All builders take N and require N ≥ 2 so that at
 // least one middle process exists.
@@ -14,6 +20,7 @@ package ring
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/system"
 )
@@ -28,6 +35,9 @@ type BTR struct {
 	N int
 	// Space holds variables ut1..utN, dt0..dt(N−1), in that order.
 	Space *system.Space
+
+	decls  string // Space as GCL declarations
+	tokens string // the token count as a GCL expression
 }
 
 // NewBTR builds the BTR state space for top index n.
@@ -35,14 +45,9 @@ func NewBTR(n int) *BTR {
 	if n < 2 {
 		panic(fmt.Sprintf("ring: BTR needs N ≥ 2, got %d", n))
 	}
-	vars := make([]system.Var, 0, 2*n)
-	for j := 1; j <= n; j++ {
-		vars = append(vars, system.Bool(fmt.Sprintf("ut%d", j)))
-	}
-	for j := 0; j < n; j++ {
-		vars = append(vars, system.Bool(fmt.Sprintf("dt%d", j)))
-	}
-	return &BTR{N: n, Space: system.NewSpace(vars...)}
+	vars := append(names("ut", 1, n), names("dt", 0, n-1)...)
+	decls := bools(vars)
+	return &BTR{N: n, Space: spaceOf(decls), decls: decls, tokens: count(vars)}
 }
 
 // UpIdx returns the variable index of ↑t.j (j in 1..N).
@@ -70,10 +75,9 @@ func (b *BTR) TokenCount(v system.Vals) int {
 	return c
 }
 
-// UniqueToken is the invariant I1 ∧ I2 ∧ I3: exactly one token exists.
-func (b *BTR) UniqueToken(v system.Vals) bool { return b.TokenCount(v) == 1 }
-
-// Actions returns BTR's guarded commands, transliterated from Section 3.1:
+// System is BTR's guarded commands, transliterated from Section 3.1,
+// with the unique-token states initial ("initially, there is a unique
+// token in the system"):
 //
 //	↑t.N → ↑t.N := false; ↓t.(N−1) := true     (top)
 //	↓t.0 → ↓t.0 := false; ↑t.1 := true         (bottom)
@@ -81,54 +85,17 @@ func (b *BTR) UniqueToken(v system.Vals) bool { return b.TokenCount(v) == 1 }
 //	↓t.j → ↓t.j := false; ↓t.(j−1) := true     (middle, 0 < j < N)
 //
 // In the abstract model a process may write its neighbors' state; here
-// that simply means effects touch both token variables.
-func (b *BTR) Actions() []system.Action {
-	acts := []system.Action{
-		{
-			Name:  "top",
-			Guard: func(v system.Vals) bool { return v[b.UpIdx(b.N)] == 1 },
-			Effect: func(v system.Vals) {
-				v[b.UpIdx(b.N)] = 0
-				v[b.DownIdx(b.N-1)] = 1
-			},
-		},
-		{
-			Name:  "bottom",
-			Guard: func(v system.Vals) bool { return v[b.DownIdx(0)] == 1 },
-			Effect: func(v system.Vals) {
-				v[b.DownIdx(0)] = 0
-				v[b.UpIdx(1)] = 1
-			},
-		},
-	}
-	for j := 1; j < b.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return v[b.UpIdx(j)] == 1 },
-				Effect: func(v system.Vals) {
-					v[b.UpIdx(j)] = 0
-					v[b.UpIdx(j+1)] = 1
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return v[b.DownIdx(j)] == 1 },
-				Effect: func(v system.Vals) {
-					v[b.DownIdx(j)] = 0
-					v[b.DownIdx(j-1)] = 1
-				},
-			},
-		)
-	}
-	return acts
-}
-
-// System enumerates BTR with the unique-token states initial ("initially,
-// there is a unique token in the system").
+// that simply means actions assign both token variables.
 func (b *BTR) System() *system.System {
-	return system.Enumerate(fmt.Sprintf("BTR(N=%d)", b.N), b.Space, b.Actions(), b.UniqueToken)
+	var src strings.Builder
+	fmt.Fprintf(&src, "%sinit %s == 1;\n", b.decls, b.tokens)
+	fmt.Fprintf(&src, "action top: ut%d -> ut%d := false; dt%d := true;\n", b.N, b.N, b.N-1)
+	fmt.Fprintf(&src, "action bottom: dt0 -> dt0 := false; ut1 := true;\n")
+	for j := 1; j < b.N; j++ {
+		fmt.Fprintf(&src, "action up%d: ut%d -> ut%d := false; ut%d := true;\n", j, j, j, j+1)
+		fmt.Fprintf(&src, "action down%d: dt%d -> dt%d := false; dt%d := true;\n", j, j, j, j-1)
+	}
+	return compile(fmt.Sprintf("BTR(N=%d)", b.N), src.String())
 }
 
 // W1 is the Section 3.2 wrapper ensuring I1, "there exists at least one
@@ -141,30 +108,19 @@ func (b *BTR) System() *system.System {
 // refinements do (W1′ and W1″ both carry the corresponding conjunct
 // c.N ≠ c.(N−1)⊕1).
 func (b *BTR) W1() *system.System {
-	acts := []system.Action{{
-		Name:   "W1",
-		Guard:  func(v system.Vals) bool { return b.TokenCount(v) == 0 },
-		Effect: func(v system.Vals) { v[b.UpIdx(b.N)] = 1 },
-	}}
-	return enumerateWrapper(fmt.Sprintf("W1(N=%d)", b.N), b.Space, acts)
+	return wrapper(fmt.Sprintf("W1(N=%d)", b.N),
+		fmt.Sprintf("%saction W1: %s == 0 -> ut%d := true;\n", b.decls, b.tokens, b.N))
 }
 
 // W2 is the Section 3.2 wrapper ensuring eventually I2 ∧ I3: a process
 // holding both ↑t.j and ↓t.j deletes both, so opposing tokens cancel.
 func (b *BTR) W2() *system.System {
-	var acts []system.Action
+	var src strings.Builder
+	src.WriteString(b.decls)
 	for j := 1; j < b.N; j++ {
-		j := j
-		acts = append(acts, system.Action{
-			Name:  fmt.Sprintf("W2_%d", j),
-			Guard: func(v system.Vals) bool { return v[b.UpIdx(j)] == 1 && v[b.DownIdx(j)] == 1 },
-			Effect: func(v system.Vals) {
-				v[b.UpIdx(j)] = 0
-				v[b.DownIdx(j)] = 0
-			},
-		})
+		fmt.Fprintf(&src, "action W2_%d: ut%d && dt%d -> ut%d := false; dt%d := false;\n", j, j, j, j, j)
 	}
-	return enumerateWrapper(fmt.Sprintf("W2(N=%d)", b.N), b.Space, acts)
+	return wrapper(fmt.Sprintf("W2(N=%d)", b.N), src.String())
 }
 
 // Wrapped returns the stabilized composition of Theorem 6. W2 preempts the
@@ -181,11 +137,4 @@ func (b *BTR) Wrapped() *system.System {
 // right reading of Section 3.2's W2.
 func (b *BTR) WrappedPlain() *system.System {
 	return system.BoxAll(b.System(), b.W1(), b.W2())
-}
-
-// enumerateWrapper enumerates wrapper actions over a space with no initial
-// states (the wrapper convention: boxing adds no initial states).
-func enumerateWrapper(name string, sp *system.Space, acts []system.Action) *system.System {
-	sys := system.Enumerate(name, sp, acts, nil)
-	return sys.WithInit(nil)
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/system"
 )
@@ -16,6 +17,9 @@ type ThreeState struct {
 	N int
 	// Space holds c0..cN, each over 0..2.
 	Space *system.Space
+
+	decls  string // Space as GCL declarations
+	unique string // the unique-token init predicate in GCL
 }
 
 // NewThreeState builds the 3-state space for top index n (n ≥ 2).
@@ -23,16 +27,25 @@ func NewThreeState(n int) *ThreeState {
 	if n < 2 {
 		panic(fmt.Sprintf("ring: ThreeState needs N ≥ 2, got %d", n))
 	}
-	vars := make([]system.Var, 0, n+1)
-	for j := 0; j <= n; j++ {
-		vars = append(vars, system.Int(fmt.Sprintf("c%d", j), 3))
+	t := &ThreeState{N: n, decls: counters("c", n, 3)}
+	t.Space = spaceOf(t.decls)
+	var tokens []string
+	for j := 1; j <= n; j++ {
+		tokens = append(tokens, t.up(j))
 	}
-	return &ThreeState{N: n, Space: system.NewSpace(vars...)}
+	for j := 0; j < n; j++ {
+		tokens = append(tokens, t.down(j))
+	}
+	t.unique = count(tokens) + " == 1"
+	return t
 }
 
-// inc3 is ⊕1 and dec3 is ⊖1, both modulo 3.
+// inc3 is ⊕1 modulo 3.
 func inc3(x int) int { return (x + 1) % 3 }
-func dec3(x int) int { return (x + 2) % 3 }
+
+// up and down are the mapped ↑t.j and ↓t.j as GCL expressions.
+func (t *ThreeState) up(j int) string   { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j-1, j) }
+func (t *ThreeState) down(j int) string { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j+1, j) }
 
 // HasUpToken evaluates the mapped ↑t.j (j in 1..N).
 func (t *ThreeState) HasUpToken(v system.Vals, j int) bool {
@@ -76,7 +89,21 @@ func (t *ThreeState) Abstraction(b *BTR) (*system.Abstraction, error) {
 	})
 }
 
-func (t *ThreeState) uniqueTokenInit(v system.Vals) bool { return t.TokenCount(v) == 1 }
+// ring is the source of a 3-state ring with the unique-token states
+// initial: the endpoint actions, which write only their own state, and
+// per middle process j a pass-up and a pass-down action whose
+// assignments up(j) and down(j) return.
+func (t *ThreeState) ring(up, down func(j int) string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%sinit %s;\n", t.decls, t.unique)
+	fmt.Fprintf(&b, "action top: %s -> c%d := (c%d + 1) %% 3;\n", t.up(t.N), t.N, t.N-1)
+	fmt.Fprintf(&b, "action bottom: %s -> c0 := (c1 + 1) %% 3;\n", t.down(0))
+	for j := 1; j < t.N; j++ {
+		fmt.Fprintf(&b, "action up%d: %s -> %s;\n", j, t.up(j), up(j))
+		fmt.Fprintf(&b, "action down%d: %s -> %s;\n", j, t.down(j), down(j))
+	}
+	return b.String()
+}
 
 // BTR3 is the abstract-model transliteration of BTR into the 3-state
 // encoding (Section 5's first listing). The middle actions write one
@@ -88,85 +115,27 @@ func (t *ThreeState) uniqueTokenInit(v system.Vals) bool { return t.TokenCount(v
 //	c.(j−1) = c.j⊕1 → c.j := c.(j−1); c.(j+1) := c.j ⊖ 1     (middle, pass up)
 //	c.(j+1) = c.j⊕1 → c.j := c.(j+1); c.(j−1) := c.j ⊖ 1     (middle, pass down)
 //
-// The neighbor write uses the updated c.j (sequential reading), so after
-// passing up, ↑t.(j+1) ≡ c.j = c.(j+1)⊕1 holds by construction.
+// The neighbor write reads the updated c.j (sequential reading), so after
+// passing up, ↑t.(j+1) ≡ c.j = c.(j+1)⊕1 holds by construction. GCL
+// assignments are simultaneous, so the source substitutes c.(j−1) (or
+// c.(j+1)) for the new c.j.
 func (t *ThreeState) BTR3() *system.System {
-	return system.Enumerate(fmt.Sprintf("BTR3(N=%d)", t.N), t.Space, t.btr3Actions(), t.uniqueTokenInit)
+	return compile(fmt.Sprintf("BTR3(N=%d)", t.N), t.btr3())
 }
 
-// btr3Actions returns BTR3's guarded commands.
-func (t *ThreeState) btr3Actions() []system.Action {
-	acts := t.endpointActions()
-	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j-1]
-					v[j+1] = dec3(v[j])
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j+1]
-					v[j-1] = dec3(v[j])
-				},
-			},
-		)
-	}
-	return acts
-}
-
-// endpointActions are the top and bottom actions shared by BTR3, C2 and C3
-// (they already write only their own state).
-func (t *ThreeState) endpointActions() []system.Action {
-	return []system.Action{
-		{
-			Name:  "top",
-			Guard: func(v system.Vals) bool { return t.HasUpToken(v, t.N) },
-			Effect: func(v system.Vals) {
-				v[t.N] = inc3(v[t.N-1])
-			},
-		},
-		{
-			Name:  "bottom",
-			Guard: func(v system.Vals) bool { return t.HasDownToken(v, 0) },
-			Effect: func(v system.Vals) {
-				v[0] = inc3(v[1])
-			},
-		},
-	}
+func (t *ThreeState) btr3() string {
+	return t.ring(
+		func(j int) string { return fmt.Sprintf("c%d := c%d; c%d := (c%d + 2) %% 3", j, j-1, j+1, j-1) },
+		func(j int) string { return fmt.Sprintf("c%d := c%d; c%d := (c%d + 2) %% 3", j, j+1, j-1, j+1) })
 }
 
 // C2 is the Section 5.2 concrete refinement of BTR3: the neighbor writes
 // are commented out; a middle process copies the counter the token came
 // from.
 func (t *ThreeState) C2() *system.System {
-	acts := t.endpointActions()
-	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j-1]
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j+1]
-				},
-			},
-		)
-	}
-	return system.Enumerate(fmt.Sprintf("C2(N=%d)", t.N), t.Space, acts, t.uniqueTokenInit)
+	return compile(fmt.Sprintf("C2(N=%d)", t.N), t.ring(
+		func(j int) string { return fmt.Sprintf("c%d := c%d", j, j-1) },
+		func(j int) string { return fmt.Sprintf("c%d := c%d", j, j+1) }))
 }
 
 // C3 is the Section 6 alternative refinement: a middle process implements
@@ -177,27 +146,9 @@ func (t *ThreeState) C2() *system.System {
 //	c.(j−1) = c.j⊕1 → c.j := c.(j+1)⊕1    (pass up: creates ↑t.(j+1) directly)
 //	c.(j+1) = c.j⊕1 → c.j := c.(j−1)⊕1    (pass down: creates ↓t.(j−1) directly)
 func (t *ThreeState) C3() *system.System {
-	acts := t.endpointActions()
-	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = inc3(v[j+1])
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = inc3(v[j-1])
-				},
-			},
-		)
-	}
-	return system.Enumerate(fmt.Sprintf("C3(N=%d)", t.N), t.Space, acts, t.uniqueTokenInit)
+	return compile(fmt.Sprintf("C3(N=%d)", t.N), t.ring(
+		func(j int) string { return fmt.Sprintf("c%d := (c%d + 1) %% 3", j, j+1) },
+		func(j int) string { return fmt.Sprintf("c%d := (c%d + 1) %% 3", j, j-1) }))
 }
 
 // W1DoublePrime is the local wrapper W1″ of Section 5.1, the implementable
@@ -205,20 +156,12 @@ func (t *ThreeState) C3() *system.System {
 //
 //	c.(N−1) = c.0 ∧ c.N ≠ c.(N−1)⊕1 → c.N := c.(N−1)⊕1
 func (t *ThreeState) W1DoublePrime() *system.System {
-	return enumerateWrapper(fmt.Sprintf("W1''(N=%d)", t.N), t.Space, t.w1DoublePrimeActions())
+	return wrapper(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+t.w1DoublePrime())
 }
 
-// w1DoublePrimeActions returns W1″'s single guarded command.
-func (t *ThreeState) w1DoublePrimeActions() []system.Action {
-	return []system.Action{{
-		Name: "W1''",
-		Guard: func(v system.Vals) bool {
-			return v[t.N-1] == v[0] && v[t.N] != inc3(v[t.N-1])
-		},
-		Effect: func(v system.Vals) {
-			v[t.N] = inc3(v[t.N-1])
-		},
-	}}
+func (t *ThreeState) w1DoublePrime() string {
+	return fmt.Sprintf("action W1pp: c%d == c0 && c%d != (c%d + 1) %% 3 -> c%d := (c%d + 1) %% 3;\n",
+		t.N-1, t.N, t.N-1, t.N, t.N-1)
 }
 
 // W1PrimeGlobal is the global wrapper W1′ of Section 5.1, the direct image
@@ -226,108 +169,50 @@ func (t *ThreeState) w1DoublePrimeActions() []system.Action {
 //
 //	(∀j,k : j,k ≠ N : c.j = c.k) ∧ c.N ≠ c.(N−1)⊕1 → c.N := c.(N−1)⊕1
 func (t *ThreeState) W1PrimeGlobal() *system.System {
-	acts := []system.Action{{
-		Name: "W1'",
-		Guard: func(v system.Vals) bool {
-			for j := 1; j < t.N; j++ {
-				if v[j] != v[0] {
-					return false
-				}
-			}
-			return v[t.N] != inc3(v[t.N-1])
-		},
-		Effect: func(v system.Vals) {
-			v[t.N] = inc3(v[t.N-1])
-		},
-	}}
-	return enumerateWrapper(fmt.Sprintf("W1'(N=%d)", t.N), t.Space, acts)
+	var guard []string
+	for j := 1; j < t.N; j++ {
+		guard = append(guard, fmt.Sprintf("c%d == c0", j))
+	}
+	guard = append(guard, fmt.Sprintf("c%d != (c%d + 1) %% 3", t.N, t.N-1))
+	return wrapper(fmt.Sprintf("W1'(N=%d)", t.N), fmt.Sprintf("%saction W1p: %s -> c%d := (c%d + 1) %% 3;\n",
+		t.decls, strings.Join(guard, " && "), t.N, t.N-1))
 }
 
 // W2Prime is the Section 5.1 refinement of W2: a middle process holding
 // both tokens (c.(j−1) = c.j⊕1 ∧ c.(j+1) = c.j⊕1) deletes both by copying
 // c.(j−1).
 func (t *ThreeState) W2Prime() *system.System {
-	return enumerateWrapper(fmt.Sprintf("W2'(N=%d)", t.N), t.Space, t.w2PrimeActions())
+	return wrapper(fmt.Sprintf("W2'(N=%d)", t.N), t.decls+t.w2Prime())
 }
 
-// w2PrimeActions returns W2′'s per-middle deletion commands.
-func (t *ThreeState) w2PrimeActions() []system.Action {
-	var acts []system.Action
+func (t *ThreeState) w2Prime() string {
+	var b strings.Builder
 	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts, system.Action{
-			Name: fmt.Sprintf("W2'_%d", j),
-			Guard: func(v system.Vals) bool {
-				return t.HasUpToken(v, j) && t.HasDownToken(v, j)
-			},
-			Effect: func(v system.Vals) {
-				v[j] = v[j-1]
-			},
-		})
+		fmt.Fprintf(&b, "action W2p_%d: %s && %s -> c%d := c%d;\n", j, t.up(j), t.down(j), j, j-1)
 	}
-	return acts
+	return b.String()
 }
 
 // Lemma9Labeled is the Lemma 9 composition with action identity
 // preserved, for fairness-aware analysis: (BTR3 [] W1″) <] W2′ where each
 // guarded command is a distinct schedulable action.
 func (t *ThreeState) Lemma9Labeled() *system.LabeledSystem {
-	btr3 := system.EnumerateLabeled(fmt.Sprintf("BTR3(N=%d)", t.N), t.Space, t.btr3Actions(), t.uniqueTokenInit)
-	w1 := system.EnumerateLabeled(fmt.Sprintf("W1''(N=%d)", t.N), t.Space, t.w1DoublePrimeActions(), neverInit)
-	w2 := system.EnumerateLabeled(fmt.Sprintf("W2'(N=%d)", t.N), t.Space, t.w2PrimeActions(), neverInit)
+	_, btr3 := compileLabeled(fmt.Sprintf("BTR3(N=%d)", t.N), t.btr3())
+	_, w1 := compileLabeled(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+"init false;\n"+t.w1DoublePrime())
+	_, w2 := compileLabeled(fmt.Sprintf("W2'(N=%d)", t.N), t.decls+"init false;\n"+t.w2Prime())
 	return system.PriorityBoxLabeled(system.BoxLabeled(btr3, w1), w2)
 }
 
-// neverInit marks no state initial (the wrapper convention for labeled
-// enumeration).
-func neverInit(system.Vals) bool { return false }
-
 // Dijkstra3 is Dijkstra's 3-state stabilizing token-ring system as listed
-// at the end of Section 5.2:
+// at the end of Section 5.2 (Dijkstra3GCL's actions, with the
+// unique-token states initial):
 //
 //	c.(N−1) = c.0 ∧ c.(N−1)⊕1 ≠ c.N → c.N := c.(N−1)⊕1   (top)
 //	c.1 = c.0⊕1                      → c.0 := c.1⊕1       (bottom)
 //	c.(j−1) = c.j⊕1                  → c.j := c.(j−1)     (middle)
 //	c.(j+1) = c.j⊕1                  → c.j := c.(j+1)     (middle)
 func (t *ThreeState) Dijkstra3() *system.System {
-	acts := []system.Action{
-		{
-			Name: "top",
-			Guard: func(v system.Vals) bool {
-				return v[t.N-1] == v[0] && inc3(v[t.N-1]) != v[t.N]
-			},
-			Effect: func(v system.Vals) {
-				v[t.N] = inc3(v[t.N-1])
-			},
-		},
-		{
-			Name:  "bottom",
-			Guard: func(v system.Vals) bool { return t.HasDownToken(v, 0) },
-			Effect: func(v system.Vals) {
-				v[0] = inc3(v[1])
-			},
-		},
-	}
-	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j-1]
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j+1]
-				},
-			},
-		)
-	}
-	return system.Enumerate(fmt.Sprintf("Dijkstra3(N=%d)", t.N), t.Space, acts, t.uniqueTokenInit)
+	return compile(fmt.Sprintf("Dijkstra3(N=%d)", t.N), dijkstra3GCL(t.N, t.unique))
 }
 
 // Lemma9System is the stabilized abstract composition of Lemma 9,
@@ -357,61 +242,11 @@ func (t *ThreeState) NewThree() *system.System {
 
 // AggressiveThree is the final Section 6 system: C3 refined further with a
 // more aggressive W2′ that deletes ↑t.j when ↑t.(j+1) also holds (and
-// symmetrically for ↓), written with the paper's if-then-else cascade.
+// symmetrically for ↓), written with the paper's if-then-else cascade
+// (AggressiveThreeGCL's actions, with the unique-token states initial).
 // Because K = 3, every branch of the middle actions collapses to
 // Dijkstra's assignments; VerifyAggressiveEqualsDijkstra3 machine-checks
 // that the automaton equals Dijkstra3's.
 func (t *ThreeState) AggressiveThree() *system.System {
-	acts := []system.Action{
-		{
-			Name: "top",
-			Guard: func(v system.Vals) bool {
-				return v[t.N-1] == v[0] && inc3(v[t.N-1]) != v[t.N]
-			},
-			Effect: func(v system.Vals) {
-				v[t.N] = inc3(v[t.N-1])
-			},
-		},
-		{
-			Name:  "bottom",
-			Guard: func(v system.Vals) bool { return t.HasDownToken(v, 0) },
-			Effect: func(v system.Vals) {
-				v[0] = inc3(v[1])
-			},
-		},
-	}
-	for j := 1; j < t.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					switch {
-					case v[j-1] == v[j+1]:
-						v[j] = v[j-1] // both tokens at j: delete both
-					case v[j] == inc3(v[j+1]):
-						v[j] = v[j-1] // ↑t.(j+1) would duplicate: absorb
-					default:
-						v[j] = inc3(v[j+1]) // C3's own-write pass
-					}
-				},
-			},
-			system.Action{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					switch {
-					case v[j-1] == v[j+1]:
-						v[j] = v[j+1]
-					case v[j] == inc3(v[j-1]):
-						v[j] = v[j+1]
-					default:
-						v[j] = inc3(v[j-1])
-					}
-				},
-			},
-		)
-	}
-	return system.Enumerate(fmt.Sprintf("AggressiveThree(N=%d)", t.N), t.Space, acts, t.uniqueTokenInit)
+	return compile(fmt.Sprintf("AggressiveThree(N=%d)", t.N), aggressiveThreeGCL(t.N, t.unique))
 }

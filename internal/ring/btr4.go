@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/mc"
 	"repro/internal/system"
@@ -22,7 +23,8 @@ type FourState struct {
 	// Space holds c0..cN then up1..up(N−1).
 	Space *system.Space
 
-	legit []int // cached LegitStates
+	vars  []string // Space's variable names
+	legit []int    // cached LegitStates
 }
 
 // NewFourState builds the 4-state space for top index n (n ≥ 2).
@@ -30,14 +32,8 @@ func NewFourState(n int) *FourState {
 	if n < 2 {
 		panic(fmt.Sprintf("ring: FourState needs N ≥ 2, got %d", n))
 	}
-	vars := make([]system.Var, 0, 2*n)
-	for j := 0; j <= n; j++ {
-		vars = append(vars, system.Bool(fmt.Sprintf("c%d", j)))
-	}
-	for j := 1; j < n; j++ {
-		vars = append(vars, system.Bool(fmt.Sprintf("up%d", j)))
-	}
-	return &FourState{N: n, Space: system.NewSpace(vars...)}
+	vars := append(names("c", 0, n), names("up", 1, n-1)...)
+	return &FourState{N: n, Space: spaceOf(bools(vars)), vars: vars}
 }
 
 // CIdx returns the variable index of c.j.
@@ -60,18 +56,6 @@ func (f *FourState) Up(v system.Vals, j int) bool {
 		return v[f.N+j] == 1
 	default:
 		panic(fmt.Sprintf("ring: up.%d undefined for N=%d", j, f.N))
-	}
-}
-
-// setUp writes up.j for a middle process.
-func (f *FourState) setUp(v system.Vals, j int, val bool) {
-	if j <= 0 || j >= f.N {
-		panic(fmt.Sprintf("ring: up.%d is constant for N=%d", j, f.N))
-	}
-	if val {
-		v[f.N+j] = 1
-	} else {
-		v[f.N+j] = 0
 	}
 }
 
@@ -118,6 +102,27 @@ func (f *FourState) Abstraction(b *BTR) (*system.Abstraction, error) {
 	})
 }
 
+// upVar is up.j as a GCL expression: up.0 ≡ true and up.N ≡ false are
+// constants.
+func (f *FourState) upVar(j int) string {
+	switch j {
+	case 0:
+		return "true"
+	case f.N:
+		return "false"
+	}
+	return fmt.Sprintf("up%d", j)
+}
+
+// upToken and downToken are the mapped ↑t.j and ↓t.j as GCL expressions.
+func (f *FourState) upToken(j int) string {
+	return fmt.Sprintf("c%d != c%d && %s && !%s", j, j-1, f.upVar(j-1), f.upVar(j))
+}
+
+func (f *FourState) downToken(j int) string {
+	return fmt.Sprintf("c%d == c%d && !%s && %s", j, j+1, f.upVar(j+1), f.upVar(j))
+}
+
 // LegitStates returns the coherent encodings of the unique-token abstract
 // states: the configurations reachable from the canonical all-false state
 // (whose unique token is ↓t.0) under the encoding's own moves. These are
@@ -129,10 +134,8 @@ func (f *FourState) Abstraction(b *BTR) (*system.Abstraction, error) {
 // initial states.
 func (f *FourState) LegitStates() []int {
 	if f.legit == nil {
-		canonical := f.Space.Encode(make(system.Vals, f.Space.NumVars()))
-		sys := system.Enumerate("btr4-legit-probe", f.Space, f.btr4Actions(true),
-			nil).WithInit([]int{canonical})
-		f.legit = mc.ReachFromInit(sys).Members()
+		canonical := "init !" + strings.Join(f.vars, " && !") + ";\n"
+		f.legit = mc.ReachFromInit(compile("btr4-legit-probe", f.btr4(true, canonical))).Members()
 	}
 	return f.legit
 }
@@ -143,77 +146,50 @@ func (f *FourState) LegitStates() []int {
 // happens (the abstract system model permits writing neighbors). C1 is the
 // same system with those neighbor writes commented out.
 func (f *FourState) BTR4() *system.System {
-	return system.Enumerate(fmt.Sprintf("BTR4(N=%d)", f.N), f.Space, f.btr4Actions(true), nil).
-		WithInit(f.LegitStates())
+	return compile(fmt.Sprintf("BTR4(N=%d)", f.N), f.btr4(true, "")).WithInit(f.LegitStates())
 }
 
 // C1 is the Section 4.2 concrete refinement of BTR4: the neighbor-writing
 // clauses are dropped because the concrete model only writes own state.
 func (f *FourState) C1() *system.System {
-	return system.Enumerate(fmt.Sprintf("C1(N=%d)", f.N), f.Space, f.btr4Actions(false), nil).
-		WithInit(f.LegitStates())
+	return compile(fmt.Sprintf("C1(N=%d)", f.N), f.btr4(false, "")).WithInit(f.LegitStates())
 }
 
-func (f *FourState) btr4Actions(neighborWrites bool) []system.Action {
-	acts := []system.Action{
-		{
-			// ↑t.N → pass down: c.N := c.(N−1). ↓t.(N−1) becomes true by
-			// the mapping; no neighbor writes needed.
-			Name:  "top",
-			Guard: func(v system.Vals) bool { return f.HasUpToken(v, f.N) },
-			Effect: func(v system.Vals) {
-				v[f.CIdx(f.N)] = v[f.CIdx(f.N-1)]
-			},
-		},
-		{
-			// ↓t.0 → pass up: c.0 := ¬c.0 creates ↑t.1.
-			Name:  "bottom",
-			Guard: func(v system.Vals) bool { return f.HasDownToken(v, 0) },
-			Effect: func(v system.Vals) {
-				v[f.CIdx(0)] = 1 - v[f.CIdx(0)]
-			},
-		},
-	}
+// btr4 is the source of BTR4, or with neighborWrites unset of C1, with
+// the given init line:
+//
+//	↑t.N → c.N := c.(N−1)                    (top: ↓t.(N−1) appears by the mapping)
+//	↓t.0 → c.0 := ¬c.0                       (bottom: creates ↑t.1)
+//	↑t.j → c.j := c.(j−1); up.j := true      (middle, pass up)
+//	↓t.j → up.j := false                     (middle, pass down)
+//
+// Passing up, BTR4 also makes ↑t.(j+1)'s remaining conjuncts hold at the
+// neighbor: c.(j+1) ≠ c.j, which for booleans is c.(j+1) := ¬c.(j−1) in
+// terms of the pre-state, and ¬up.(j+1) unless j+1 = N. Passing down, it
+// makes ↓t.(j−1)'s hold: c.(j−1) := c.j, and up.(j−1) unless j−1 = 0.
+func (f *FourState) btr4(neighborWrites bool, init string) string {
+	var b strings.Builder
+	b.WriteString(bools(f.vars) + init)
+	fmt.Fprintf(&b, "action top: %s -> c%d := c%d;\n", f.upToken(f.N), f.N, f.N-1)
+	fmt.Fprintf(&b, "action bottom: %s -> c0 := !c0;\n", f.downToken(0))
 	for j := 1; j < f.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				// ↑t.j → ↑t.(j+1): own writes c.j := c.(j−1), up.j := true.
-				// BTR4 additionally enforces ↑t.(j+1)'s remaining conjuncts
-				// on the (j+1)-neighbor — the clauses C1 comments out.
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return f.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[f.CIdx(j)] = v[f.CIdx(j-1)]
-					f.setUp(v, j, true)
-					if neighborWrites {
-						if v[f.CIdx(j+1)] == v[f.CIdx(j)] {
-							v[f.CIdx(j+1)] = 1 - v[f.CIdx(j)]
-						}
-						if j+1 < f.N {
-							f.setUp(v, j+1, false)
-						}
-					}
-				},
-			},
-			system.Action{
-				// ↓t.j → ↓t.(j−1): own write up.j := false. BTR4 enforces
-				// ↓t.(j−1)'s remaining conjuncts on the (j−1)-neighbor.
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return f.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					f.setUp(v, j, false)
-					if neighborWrites {
-						v[f.CIdx(j-1)] = v[f.CIdx(j)]
-						if j-1 > 0 {
-							f.setUp(v, j-1, true)
-						}
-					}
-				},
-			},
-		)
+		fmt.Fprintf(&b, "action up%d: %s -> c%d := c%d; up%d := true;", j, f.upToken(j), j, j-1, j)
+		if neighborWrites {
+			fmt.Fprintf(&b, " c%d := !c%d;", j+1, j-1)
+			if j+1 < f.N {
+				fmt.Fprintf(&b, " up%d := false;", j+1)
+			}
+		}
+		fmt.Fprintf(&b, "\naction down%d: %s -> up%d := false;", j, f.downToken(j), j)
+		if neighborWrites {
+			fmt.Fprintf(&b, " c%d := c%d;", j-1, j)
+			if j-1 > 0 {
+				fmt.Fprintf(&b, " up%d := true;", j-1)
+			}
+		}
+		b.WriteString("\n")
 	}
-	return acts
+	return b.String()
 }
 
 // Dijkstra4 is Dijkstra's 4-state stabilizing token-ring system, obtained
@@ -224,96 +200,41 @@ func (f *FourState) btr4Actions(neighborWrites bool) []system.Action {
 //	c.(j−1) ≠ c.j                      → c.j := c.(j−1); up.j := true
 //	c.(j+1) = c.j ∧ ¬up.(j+1) ∧ up.j   → up.j := false
 func (f *FourState) Dijkstra4() *system.System {
-	acts := []system.Action{
-		{
-			Name:  "top",
-			Guard: func(v system.Vals) bool { return v[f.CIdx(f.N-1)] != v[f.CIdx(f.N)] },
-			Effect: func(v system.Vals) {
-				v[f.CIdx(f.N)] = v[f.CIdx(f.N-1)]
-			},
-		},
-		{
-			Name: "bottom",
-			Guard: func(v system.Vals) bool {
-				return v[f.CIdx(1)] == v[f.CIdx(0)] && !f.Up(v, 1)
-			},
-			Effect: func(v system.Vals) {
-				v[f.CIdx(0)] = 1 - v[f.CIdx(0)]
-			},
-		},
-	}
+	var b strings.Builder
+	b.WriteString(bools(f.vars))
+	fmt.Fprintf(&b, "action top: c%d != c%d -> c%d := c%d;\n", f.N-1, f.N, f.N, f.N-1)
+	fmt.Fprintf(&b, "action bottom: c1 == c0 && !%s -> c0 := !c0;\n", f.upVar(1))
 	for j := 1; j < f.N; j++ {
-		j := j
-		acts = append(acts,
-			system.Action{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return v[f.CIdx(j-1)] != v[f.CIdx(j)] },
-				Effect: func(v system.Vals) {
-					v[f.CIdx(j)] = v[f.CIdx(j-1)]
-					f.setUp(v, j, true)
-				},
-			},
-			system.Action{
-				Name: fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool {
-					return v[f.CIdx(j+1)] == v[f.CIdx(j)] && !f.Up(v, j+1) && f.Up(v, j)
-				},
-				Effect: func(v system.Vals) {
-					f.setUp(v, j, false)
-				},
-			},
-		)
+		fmt.Fprintf(&b, "action up%d: c%d != c%d -> c%d := c%d; up%d := true;\n", j, j-1, j, j, j-1, j)
+		fmt.Fprintf(&b, "action down%d: c%d == c%d && !%s && up%d -> up%d := false;\n",
+			j, j+1, j, f.upVar(j+1), j, j)
 	}
-	return system.Enumerate(fmt.Sprintf("Dijkstra4(N=%d)", f.N), f.Space, acts, nil).
-		WithInit(f.LegitStates())
+	return compile(fmt.Sprintf("Dijkstra4(N=%d)", f.N), b.String()).WithInit(f.LegitStates())
 }
 
 // W1Prime is the mapped wrapper W1′ of Section 4.1. Its guard already
-// implies ↑t.N, so its effect never changes the state: the paper calls it
-// "vacuously implemented". The returned system consequently contains only
+// implies ↑t.N, so its effect — make ↑t.N true: c.N ≠ c.(N−1) and
+// up.(N−1) — never changes the state: the paper calls it "vacuously
+// implemented". The returned system consequently contains only
 // self-loops; VerifyW1PrimeVacuous checks that claim, and the composed
 // systems omit W1′ just as the paper does.
 func (f *FourState) W1Prime() *system.System {
-	acts := []system.Action{{
-		Name: "W1'",
-		Guard: func(v system.Vals) bool {
-			for j := 1; j < f.N; j++ {
-				if !f.Up(v, j) {
-					return false
-				}
-			}
-			return v[f.CIdx(f.N-1)] != v[f.CIdx(f.N)]
-		},
-		Effect: func(v system.Vals) {
-			// Make ↑t.N true: c.N ≠ c.(N−1) and up.(N−1) = true. Both
-			// already hold whenever the guard does.
-			v[f.CIdx(f.N)] = 1 - v[f.CIdx(f.N-1)]
-			if f.N-1 > 0 && f.N-1 < f.N {
-				f.setUp(v, f.N-1, true)
-			}
-		},
-	}}
-	return enumerateWrapper(fmt.Sprintf("W1'(N=%d)", f.N), f.Space, acts)
+	guard := names("up", 1, f.N-1)
+	guard = append(guard, fmt.Sprintf("c%d != c%d", f.N-1, f.N))
+	return wrapper(fmt.Sprintf("W1'(N=%d)", f.N), fmt.Sprintf("%saction W1p: %s -> c%d := !c%d; up%d := true;\n",
+		bools(f.vars), strings.Join(guard, " && "), f.N, f.N-1, f.N-1))
 }
 
 // W2Prime is the mapped wrapper W2′ of Section 4.1: under the mapping,
-// ↑t.j ∧ ↓t.j ≡ false, so the wrapper has no enabled transition anywhere.
+// ↑t.j ∧ ↓t.j ≡ false, so the wrapper, which would delete both tokens,
+// has no enabled transition anywhere.
 func (f *FourState) W2Prime() *system.System {
-	var acts []system.Action
+	var b strings.Builder
+	b.WriteString(bools(f.vars))
 	for j := 1; j < f.N; j++ {
-		j := j
-		acts = append(acts, system.Action{
-			Name: fmt.Sprintf("W2'_%d", j),
-			Guard: func(v system.Vals) bool {
-				return f.HasUpToken(v, j) && f.HasDownToken(v, j)
-			},
-			Effect: func(v system.Vals) {
-				// Would delete both tokens; never enabled.
-				v[f.CIdx(j)] = v[f.CIdx(j-1)]
-			},
-		})
+		fmt.Fprintf(&b, "action W2p_%d: %s && %s -> c%d := c%d;\n", j, f.upToken(j), f.downToken(j), j, j-1)
 	}
-	return enumerateWrapper(fmt.Sprintf("W2'(N=%d)", f.N), f.Space, acts)
+	return wrapper(fmt.Sprintf("W2'(N=%d)", f.N), b.String())
 }
 
 func boolToInt(b bool) int {

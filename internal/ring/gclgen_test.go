@@ -9,11 +9,11 @@ import (
 	"repro/internal/system"
 )
 
-// TestDijkstra3GCLMatchesProgrammatic cross-validates three independent
-// constructions of the same system: the programmatic builder, the GCL
-// text pipeline (lexer → parser → checker → enumerator), and — via the
-// sim tests — the local-rule simulator. Transition relations must agree
-// exactly.
+// TestDijkstra3GCLMatchesProgrammatic cross-validates the GCL text
+// pipeline (lexer → parser → checker → enumerator) against the ring
+// builder, and pins the builder to the digest recorded from the
+// hand-written closure definition it replaced. Transition relations must
+// agree exactly.
 func TestDijkstra3GCLMatchesProgrammatic(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		src := Dijkstra3GCL(n)
@@ -22,6 +22,9 @@ func TestDijkstra3GCLMatchesProgrammatic(t *testing.T) {
 			t.Fatalf("N=%d: %v\n%s", n, err, src)
 		}
 		model := NewThreeState(n).Dijkstra3()
+		if got, want := digestSystem(model), pinnedAutomata[fmt.Sprintf("Dijkstra3/N=%d", n)]; got != want {
+			t.Fatalf("N=%d: Dijkstra3 digest %s, recorded from the programmatic system %s", n, got, want)
+		}
 		if !system.TransitionsEqual(compiled.System, model) {
 			d1 := system.DiffTransitions(compiled.System, model, 3)
 			d2 := system.DiffTransitions(model, compiled.System, 3)
@@ -42,6 +45,9 @@ func TestKStateGCLMatchesProgrammatic(t *testing.T) {
 			t.Fatalf("N=%d K=%d: %v\n%s", tc.n, tc.k, err, src)
 		}
 		model := NewKState(tc.n, tc.k).System()
+		if got, want := digestSystem(model), pinnedAutomata[fmt.Sprintf("KState/N=%d,K=%d", tc.n, tc.k)]; got != want {
+			t.Fatalf("N=%d K=%d: KState digest %s, recorded from the programmatic system %s", tc.n, tc.k, got, want)
+		}
 		if !system.TransitionsEqual(compiled.System, model) {
 			t.Fatalf("N=%d K=%d: GCL vs programmatic differ", tc.n, tc.k)
 		}

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/system"
 )
@@ -14,6 +15,9 @@ type UTR struct {
 	N int
 	// Space holds t0..tN.
 	Space *system.Space
+
+	decls  string // Space as GCL declarations
+	tokens string // the token count as a GCL expression
 }
 
 // NewUTR builds the unidirectional ring space (n ≥ 2).
@@ -21,11 +25,9 @@ func NewUTR(n int) *UTR {
 	if n < 2 {
 		panic(fmt.Sprintf("ring: UTR needs N ≥ 2, got %d", n))
 	}
-	vars := make([]system.Var, 0, n+1)
-	for j := 0; j <= n; j++ {
-		vars = append(vars, system.Bool(fmt.Sprintf("t%d", j)))
-	}
-	return &UTR{N: n, Space: system.NewSpace(vars...)}
+	vars := names("t", 0, n)
+	decls := bools(vars)
+	return &UTR{N: n, Space: spaceOf(decls), decls: decls, tokens: count(vars)}
 }
 
 // TokenCount counts the tokens held.
@@ -37,43 +39,23 @@ func (u *UTR) TokenCount(v system.Vals) int {
 	return c
 }
 
-// UniqueToken is the legitimacy predicate: exactly one token.
-func (u *UTR) UniqueToken(v system.Vals) bool { return u.TokenCount(v) == 1 }
-
-// Actions move each held token one step around the ring; moving onto a
-// process that already holds a token merges the two (the boolean simply
-// stays true).
-func (u *UTR) Actions() []system.Action {
-	var acts []system.Action
-	for j := 0; j <= u.N; j++ {
-		j := j
-		next := (j + 1) % (u.N + 1)
-		acts = append(acts, system.Action{
-			Name:  fmt.Sprintf("pass%d", j),
-			Guard: func(v system.Vals) bool { return v[j] == 1 },
-			Effect: func(v system.Vals) {
-				v[j] = 0
-				v[next] = 1
-			},
-		})
-	}
-	return acts
-}
-
-// System enumerates UTR with unique-token initial states.
+// System moves each held token one step around the ring, with the
+// unique-token states initial; moving onto a process that already holds
+// a token merges the two (the boolean simply stays true).
 func (u *UTR) System() *system.System {
-	return system.Enumerate(fmt.Sprintf("UTR(N=%d)", u.N), u.Space, u.Actions(), u.UniqueToken)
+	var src strings.Builder
+	fmt.Fprintf(&src, "%sinit %s == 1;\n", u.decls, u.tokens)
+	for j := 0; j <= u.N; j++ {
+		fmt.Fprintf(&src, "action pass%d: t%d -> t%d := false; t%d := true;\n", j, j, j, (j+1)%(u.N+1))
+	}
+	return compile(fmt.Sprintf("UTR(N=%d)", u.N), src.String())
 }
 
 // WU1 creates a token at the bottom when none exists (the unidirectional
 // analogue of W1).
 func (u *UTR) WU1() *system.System {
-	acts := []system.Action{{
-		Name:   "WU1",
-		Guard:  func(v system.Vals) bool { return u.TokenCount(v) == 0 },
-		Effect: func(v system.Vals) { v[0] = 1 },
-	}}
-	return enumerateWrapper(fmt.Sprintf("WU1(N=%d)", u.N), u.Space, acts)
+	return wrapper(fmt.Sprintf("WU1(N=%d)", u.N),
+		fmt.Sprintf("%saction WU1: %s == 0 -> t0 := true;\n", u.decls, u.tokens))
 }
 
 // WU2 deletes a non-bottom token while the bottom holds one: extra tokens
@@ -81,16 +63,12 @@ func (u *UTR) WU1() *system.System {
 // ring's own moves (PriorityBox) — otherwise a daemon keeps two tokens
 // chasing each other at a fixed distance forever.
 func (u *UTR) WU2() *system.System {
-	var acts []system.Action
+	var src strings.Builder
+	src.WriteString(u.decls)
 	for j := 1; j <= u.N; j++ {
-		j := j
-		acts = append(acts, system.Action{
-			Name:   fmt.Sprintf("WU2_%d", j),
-			Guard:  func(v system.Vals) bool { return v[0] == 1 && v[j] == 1 },
-			Effect: func(v system.Vals) { v[j] = 0 },
-		})
+		fmt.Fprintf(&src, "action WU2_%d: t0 && t%d -> t%d := false;\n", j, j, j)
 	}
-	return enumerateWrapper(fmt.Sprintf("WU2(N=%d)", u.N), u.Space, acts)
+	return wrapper(fmt.Sprintf("WU2(N=%d)", u.N), src.String())
 }
 
 // Wrapped is the stabilized abstract composition (UTR [] WU1) <] WU2.
@@ -109,6 +87,8 @@ type KState struct {
 	N, K int
 	// Space holds x0..xN, each over 0..K−1.
 	Space *system.Space
+
+	unique string // the unique-privilege init predicate in GCL
 }
 
 // NewKState builds the K-state space (n ≥ 2, k ≥ 2).
@@ -116,11 +96,11 @@ func NewKState(n, k int) *KState {
 	if n < 2 || k < 2 {
 		panic(fmt.Sprintf("ring: KState needs N ≥ 2 and K ≥ 2, got N=%d K=%d", n, k))
 	}
-	vars := make([]system.Var, 0, n+1)
-	for j := 0; j <= n; j++ {
-		vars = append(vars, system.Int(fmt.Sprintf("x%d", j), k))
+	privileged := []string{fmt.Sprintf("x0 == x%d", n)}
+	for j := 1; j <= n; j++ {
+		privileged = append(privileged, fmt.Sprintf("x%d != x%d", j, j-1))
 	}
-	return &KState{N: n, K: k, Space: system.NewSpace(vars...)}
+	return &KState{N: n, K: k, Space: spaceOf(counters("x", n, k)), unique: count(privileged) + " == 1"}
 }
 
 // HasToken evaluates the privilege predicate at process j.
@@ -155,26 +135,7 @@ func (ks *KState) Abstraction(u *UTR) (*system.Abstraction, error) {
 	})
 }
 
-// System enumerates the K-state automaton with unique-token initial
-// states.
+// System is the K-state automaton with unique-token initial states.
 func (ks *KState) System() *system.System {
-	acts := []system.Action{{
-		Name:  "bottom",
-		Guard: func(v system.Vals) bool { return v[0] == v[ks.N] },
-		Effect: func(v system.Vals) {
-			v[0] = (v[0] + 1) % ks.K
-		},
-	}}
-	for j := 1; j <= ks.N; j++ {
-		j := j
-		acts = append(acts, system.Action{
-			Name:  fmt.Sprintf("copy%d", j),
-			Guard: func(v system.Vals) bool { return v[j] != v[j-1] },
-			Effect: func(v system.Vals) {
-				v[j] = v[j-1]
-			},
-		})
-	}
-	return system.Enumerate(fmt.Sprintf("KState(N=%d,K=%d)", ks.N, ks.K), ks.Space, acts,
-		func(v system.Vals) bool { return ks.TokenCount(v) == 1 })
+	return compile(fmt.Sprintf("KState(N=%d,K=%d)", ks.N, ks.K), kStateGCL(ks.N, ks.K, ks.unique))
 }

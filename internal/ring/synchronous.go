@@ -6,150 +6,71 @@ import (
 	"repro/internal/system"
 )
 
-// Synchronous builds the synchronous-daemon semantics of a guarded-command
-// system over processes: in one step, EVERY process with an enabled action
-// fires simultaneously (processes with several enabled actions contribute
-// one transition per choice combination). Dijkstra's token rings are
-// famously sensitive to this daemon — the classical two-process ping-pong
-// oscillations — which the checker exhibits; see the synchronous tests.
+// synchronous compiles ring source under the synchronous daemon: in one
+// step, EVERY process with an enabled action fires simultaneously
+// (processes with several enabled actions contribute one transition per
+// choice combination). Dijkstra's token rings are famously sensitive to
+// this daemon — the classical two-process ping-pong oscillations — which
+// the checker exhibits; see the synchronous tests.
 //
-// perProcess groups the actions by owning process: each inner slice holds
-// the alternatives of one process, of which at most one fires per step.
-// Effects are applied to a copy of the pre-state (all reads are
-// pre-state), matching synchronous semantics.
-func Synchronous(name string, sp *system.Space, perProcess [][]system.Action, init func(system.Vals) bool) *system.System {
+// The process of an action is the one variable it writes. All reads are
+// of the pre-state, and distinct processes write distinct variables, so
+// a step from s that takes the edges s → t_p, one per enabled process p,
+// ends in s + Σ_p (t_p − s).
+func synchronous(name, src string) *system.System {
+	prog, ls := compileLabeled(name, src)
+	base := ls.Base()
+	sp := base.Space()
+	proc := make([]int, len(prog.Actions))
+	for ai, a := range prog.Actions {
+		if len(a.Assigns) != 1 {
+			panic(fmt.Sprintf("ring: %s: action %q writes %d variables, a process one", name, a.Name, len(a.Assigns)))
+		}
+		proc[ai], _ = sp.VarIndex(a.Assigns[0].Name)
+	}
 	b := system.NewSpaceBuilder(name, sp)
-	cur := make(system.Vals, sp.NumVars())
-	next := make(system.Vals, sp.NumVars())
-	for s := 0; s < sp.Size(); s++ {
-		cur = sp.Decode(s, cur)
-		// Collect each process's enabled alternatives.
-		var enabled [][]system.Action
-		for _, alts := range perProcess {
-			var on []system.Action
-			for _, a := range alts {
-				if a.Guard(cur) {
-					on = append(on, a)
-				}
-			}
-			if len(on) > 0 {
-				enabled = append(enabled, on)
-			}
-		}
-		if len(enabled) == 0 {
-			if init == nil || init(cur) {
-				b.AddInit(s)
-			}
-			continue
-		}
-		// Enumerate one choice per enabled process; apply all effects to
-		// the pre-state copy. Effects of distinct processes write disjoint
-		// variables in the concrete systems, so application order within a
-		// step is immaterial — each effect reads only `cur`.
-		choice := make([]int, len(enabled))
-		for {
-			copy(next, cur)
-			for pi, ci := range choice {
-				// Re-evaluate the effect against the pre-state: effects
-				// must not observe each other's writes. Apply to a scratch
-				// initialized from cur, then merge changed variables.
-				scratch := make(system.Vals, len(cur))
-				copy(scratch, cur)
-				enabled[pi][ci].Effect(scratch)
-				for vi := range scratch {
-					if scratch[vi] != cur[vi] {
-						next[vi] = scratch[vi]
-					}
-				}
-			}
-			b.AddTransition(s, sp.Encode(next))
-			// Advance the mixed-radix choice vector.
-			k := 0
-			for k < len(choice) {
-				choice[k]++
-				if choice[k] < len(enabled[k]) {
-					break
-				}
-				choice[k] = 0
-				k++
-			}
-			if k == len(choice) {
-				break
-			}
-		}
-		if init == nil || init(cur) {
+	deltas := make([][]int, sp.NumVars()) // per process, its moves' offsets from s
+	for s := 0; s < base.NumStates(); s++ {
+		if base.IsInit(s) {
 			b.AddInit(s)
+		}
+		for p := range deltas {
+			deltas[p] = deltas[p][:0]
+		}
+		for _, e := range ls.Edges(s) {
+			deltas[proc[e.Action]] = append(deltas[proc[e.Action]], e.To-s)
+		}
+		next, fired := []int{s}, false
+		for _, ds := range deltas {
+			if len(ds) == 0 {
+				continue
+			}
+			fired = true
+			grown := make([]int, 0, len(next)*len(ds))
+			for _, t := range next {
+				for _, d := range ds {
+					grown = append(grown, t+d)
+				}
+			}
+			next = grown
+		}
+		if fired {
+			for _, t := range next {
+				b.AddTransition(s, t)
+			}
 		}
 	}
 	return b.Build()
 }
 
-// Dijkstra3Synchronous enumerates Dijkstra's 3-state system under the
-// synchronous daemon.
+// Dijkstra3Synchronous is Dijkstra's 3-state system under the synchronous
+// daemon, with the unique-token states initial.
 func (t *ThreeState) Dijkstra3Synchronous() *system.System {
-	perProcess := make([][]system.Action, 0, t.N+1)
-	// Bottom.
-	perProcess = append(perProcess, []system.Action{{
-		Name:  "bottom",
-		Guard: func(v system.Vals) bool { return t.HasDownToken(v, 0) },
-		Effect: func(v system.Vals) {
-			v[0] = inc3(v[1])
-		},
-	}})
-	// Middles: up and down are alternatives of the same process.
-	for j := 1; j < t.N; j++ {
-		j := j
-		perProcess = append(perProcess, []system.Action{
-			{
-				Name:  fmt.Sprintf("up%d", j),
-				Guard: func(v system.Vals) bool { return t.HasUpToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j-1]
-				},
-			},
-			{
-				Name:  fmt.Sprintf("down%d", j),
-				Guard: func(v system.Vals) bool { return t.HasDownToken(v, j) },
-				Effect: func(v system.Vals) {
-					v[j] = v[j+1]
-				},
-			},
-		})
-	}
-	// Top.
-	perProcess = append(perProcess, []system.Action{{
-		Name: "top",
-		Guard: func(v system.Vals) bool {
-			return v[t.N-1] == v[0] && inc3(v[t.N-1]) != v[t.N]
-		},
-		Effect: func(v system.Vals) {
-			v[t.N] = inc3(v[t.N-1])
-		},
-	}})
-	return Synchronous(fmt.Sprintf("Dijkstra3-sync(N=%d)", t.N), t.Space, perProcess, t.uniqueTokenInit)
+	return synchronous(fmt.Sprintf("Dijkstra3-sync(N=%d)", t.N), dijkstra3GCL(t.N, t.unique))
 }
 
-// KStateSynchronous enumerates Dijkstra's K-state system under the
-// synchronous daemon.
+// KStateSynchronous is Dijkstra's K-state system under the synchronous
+// daemon, with the unique-token states initial.
 func (ks *KState) KStateSynchronous() *system.System {
-	perProcess := make([][]system.Action, 0, ks.N+1)
-	perProcess = append(perProcess, []system.Action{{
-		Name:  "bottom",
-		Guard: func(v system.Vals) bool { return v[0] == v[ks.N] },
-		Effect: func(v system.Vals) {
-			v[0] = (v[0] + 1) % ks.K
-		},
-	}})
-	for j := 1; j <= ks.N; j++ {
-		j := j
-		perProcess = append(perProcess, []system.Action{{
-			Name:  fmt.Sprintf("copy%d", j),
-			Guard: func(v system.Vals) bool { return v[j] != v[j-1] },
-			Effect: func(v system.Vals) {
-				v[j] = v[j-1]
-			},
-		}})
-	}
-	return Synchronous(fmt.Sprintf("KState-sync(N=%d,K=%d)", ks.N, ks.K), ks.Space, perProcess,
-		func(v system.Vals) bool { return ks.TokenCount(v) == 1 })
+	return synchronous(fmt.Sprintf("KState-sync(N=%d,K=%d)", ks.N, ks.K), kStateGCL(ks.N, ks.K, ks.unique))
 }

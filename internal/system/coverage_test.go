@@ -44,7 +44,10 @@ func TestStripSelfLoops(t *testing.T) {
 
 func TestSystemStringAndSpaceAccessors(t *testing.T) {
 	sp := NewSpace(Bool("t"))
-	sys := Enumerate("demo", sp, nil, nil)
+	b := NewSpaceBuilder("demo", sp)
+	b.AddInit(0)
+	b.AddInit(1)
+	sys := b.Build()
 	if sys.Space() != sp {
 		t.Fatal("Space accessor wrong")
 	}
@@ -79,10 +82,6 @@ func TestBuilderValidation(t *testing.T) {
 		func() {
 			b := NewBuilder("bad", 2)
 			b.AddInit(-1)
-		},
-		func() {
-			sp := NewSpace(Int("x", 2))
-			Enumerate("bad", sp, []Action{{Name: "broken"}}, nil)
 		},
 	} {
 		func() {

@@ -16,47 +16,59 @@ type LabeledEdge struct {
 // are defined purely on state sequences; labels are needed for
 // fairness-aware analysis, where "action α is eventually taken" must be
 // distinguishable from "some transition happens".
+//
+// The edges are compressed sparse rows, like System's successors: the
+// edges of s are edges[off[s]:off[s+1]], in increasing action order. An
+// enabled guarded command yields exactly one edge, a τ self-loop
+// included, so an action is enabled in s exactly when one of s's edges
+// carries it.
 type LabeledSystem struct {
 	base    *System
 	actions []string
-	edges   [][]LabeledEdge
-	enabled [][]bool // enabled[s][a]: action a enabled in state s
+	off     []int
+	edges   []LabeledEdge
 }
 
-// EnumerateLabeled builds a labeled automaton from guarded actions,
-// mirroring Enumerate (including keeping τ self-loops).
-func EnumerateLabeled(name string, sp *Space, actions []Action, init func(v Vals) bool) *LabeledSystem {
-	ls := &LabeledSystem{
-		actions: make([]string, len(actions)),
-		edges:   make([][]LabeledEdge, sp.Size()),
-		enabled: make([][]bool, sp.Size()),
+// NewLabeled builds a labeled automaton over base from its action names
+// and its edges as compressed sparse rows. It takes ownership of off and
+// edges, and panics unless every row lists at most one edge per action,
+// in increasing action order, and the edges are exactly base's
+// transitions.
+func NewLabeled(base *System, actions []string, off []int, edges []LabeledEdge) *LabeledSystem {
+	n := base.NumStates()
+	if len(off) != n+1 || off[0] != 0 || off[n] != len(edges) {
+		panic(fmt.Sprintf("system: malformed labeled rows for %q", base.Name()))
 	}
-	for i, a := range actions {
-		ls.actions[i] = a.Name
-	}
-	b := NewSpaceBuilder(name, sp)
-	cur := make(Vals, sp.NumVars())
-	next := make(Vals, sp.NumVars())
-	for s := 0; s < sp.Size(); s++ {
-		cur = sp.Decode(s, cur)
-		ls.enabled[s] = make([]bool, len(actions))
-		for ai, a := range actions {
-			if !a.Guard(cur) {
-				continue
+	ls := &LabeledSystem{base: base, actions: actions, off: off, edges: edges}
+	for s := 0; s < n; s++ {
+		if off[s+1] < off[s] {
+			panic(fmt.Sprintf("system: malformed labeled rows for %q", base.Name()))
+		}
+		row := ls.Edges(s)
+		for i, e := range row {
+			if e.Action < 0 || e.Action >= len(actions) || (i > 0 && e.Action <= row[i-1].Action) {
+				panic(fmt.Sprintf("system: state %d of %q: edge labels out of order or range", s, base.Name()))
 			}
-			ls.enabled[s][ai] = true
-			copy(next, cur)
-			a.Effect(next)
-			t := sp.Encode(next)
-			b.AddTransition(s, t)
-			ls.edges[s] = append(ls.edges[s], LabeledEdge{Action: ai, To: t})
+			if !base.HasTransition(s, e.To) {
+				panic(fmt.Sprintf("system: edge (%d, %d) of %q is not a transition", s, e.To, base.Name()))
+			}
 		}
-		if init == nil || init(cur) {
-			b.AddInit(s)
+		for _, t := range base.Succ(s) {
+			if !hasEdgeTo(row, t) {
+				panic(fmt.Sprintf("system: transition (%d, %d) of %q has no label", s, t, base.Name()))
+			}
 		}
 	}
-	ls.base = b.Build()
 	return ls
+}
+
+func hasEdgeTo(row []LabeledEdge, t int) bool {
+	for _, e := range row {
+		if e.To == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Base returns the underlying unlabeled automaton.
@@ -68,65 +80,53 @@ func (ls *LabeledSystem) NumActions() int { return len(ls.actions) }
 // ActionName returns the name of action a.
 func (ls *LabeledSystem) ActionName(a int) string { return ls.actions[a] }
 
-// Edges returns the labeled transitions from s (shared storage; do not
-// modify).
-func (ls *LabeledSystem) Edges(s int) []LabeledEdge { return ls.edges[s] }
+// Edges returns the labeled transitions from s in action order (shared
+// storage; do not modify).
+func (ls *LabeledSystem) Edges(s int) []LabeledEdge {
+	lo, hi := ls.off[s], ls.off[s+1]
+	return ls.edges[lo:hi:hi]
+}
 
 // Enabled reports whether action a's guard holds in state s.
-func (ls *LabeledSystem) Enabled(s, a int) bool { return ls.enabled[s][a] }
+func (ls *LabeledSystem) Enabled(s, a int) bool {
+	for _, e := range ls.Edges(s) {
+		if e.Action == a {
+			return true
+		}
+	}
+	return false
+}
 
 // BoxLabeled composes labeled systems by unioning actions and
 // transitions; action indices of b are shifted past a's. Initial states
 // are unioned, as with Box.
 func BoxLabeled(a, b *LabeledSystem) *LabeledSystem {
-	if a.base.NumStates() != b.base.NumStates() {
-		panic(fmt.Sprintf("system: BoxLabeled(%q, %q): |Σ| mismatch", a.base.Name(), b.base.Name()))
-	}
-	n := a.base.NumStates()
-	out := &LabeledSystem{
-		actions: append(append([]string(nil), a.actions...), b.actions...),
-		edges:   make([][]LabeledEdge, n),
-		enabled: make([][]bool, n),
-	}
-	shift := len(a.actions)
-	for s := 0; s < n; s++ {
-		out.edges[s] = append(out.edges[s], a.edges[s]...)
-		for _, e := range b.edges[s] {
-			out.edges[s] = append(out.edges[s], LabeledEdge{Action: e.Action + shift, To: e.To})
-		}
-		out.enabled[s] = make([]bool, len(out.actions))
-		copy(out.enabled[s], a.enabled[s])
-		copy(out.enabled[s][shift:], b.enabled[s])
-	}
-	out.base = Box(a.base, b.base)
-	return out
+	return concatLabeled(Box(a.base, b.base), a, b, false)
 }
 
 // PriorityBoxLabeled composes base with a preempting labeled wrapper:
 // where the wrapper has an enabled action, only its edges occur.
 func PriorityBoxLabeled(base, pre *LabeledSystem) *LabeledSystem {
-	if base.base.NumStates() != pre.base.NumStates() {
-		panic(fmt.Sprintf("system: PriorityBoxLabeled(%q, %q): |Σ| mismatch", base.base.Name(), pre.base.Name()))
-	}
-	n := base.base.NumStates()
-	out := &LabeledSystem{
-		actions: append(append([]string(nil), base.actions...), pre.actions...),
-		edges:   make([][]LabeledEdge, n),
-		enabled: make([][]bool, n),
-	}
-	shift := len(base.actions)
+	return concatLabeled(PriorityBox(base.base, pre.base), base, pre, true)
+}
+
+// concatLabeled lists per state x's edges, then y's with their actions
+// shifted past x's; with preempt set, a state where y has an edge keeps
+// only y's.
+func concatLabeled(base *System, x, y *LabeledSystem, preempt bool) *LabeledSystem {
+	n, shift := base.NumStates(), len(x.actions)
+	off := make([]int, n+1)
+	edges := make([]LabeledEdge, 0, len(x.edges)+len(y.edges))
 	for s := 0; s < n; s++ {
-		out.enabled[s] = make([]bool, len(out.actions))
-		if len(pre.edges[s]) > 0 {
-			for _, e := range pre.edges[s] {
-				out.edges[s] = append(out.edges[s], LabeledEdge{Action: e.Action + shift, To: e.To})
-			}
-			copy(out.enabled[s][shift:], pre.enabled[s])
-			continue
+		ye := y.Edges(s)
+		if !preempt || len(ye) == 0 {
+			edges = append(edges, x.Edges(s)...)
 		}
-		out.edges[s] = append(out.edges[s], base.edges[s]...)
-		copy(out.enabled[s], base.enabled[s])
+		for _, e := range ye {
+			edges = append(edges, LabeledEdge{Action: e.Action + shift, To: e.To})
+		}
+		off[s+1] = len(edges)
 	}
-	out.base = PriorityBox(base.base, pre.base)
-	return out
+	actions := append(append([]string(nil), x.actions...), y.actions...)
+	return NewLabeled(base, actions, off, edges)
 }

@@ -1,19 +1,35 @@
 package system
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
-func labeledFixture(t *testing.T) (*LabeledSystem, *Space) {
-	t.Helper()
-	sp := NewSpace(Int("x", 3))
-	acts := []Action{
-		{Name: "inc", Guard: func(v Vals) bool { return v[0] < 2 }, Effect: func(v Vals) { v[0]++ }},
-		{Name: "reset", Guard: func(v Vals) bool { return v[0] == 2 }, Effect: func(v Vals) { v[0] = 0 }},
+// fromRows builds a labeled system over sp through the raw constructor:
+// state s has the edges rows[s], and init lists the initial states.
+func fromRows(name string, sp *Space, actions []string, rows [][]LabeledEdge, init ...int) *LabeledSystem {
+	b := NewSpaceBuilder(name, sp)
+	off := []int{0}
+	var edges []LabeledEdge
+	for s, row := range rows {
+		for _, e := range row {
+			b.AddTransition(s, e.To)
+		}
+		edges = append(edges, row...)
+		off = append(off, len(edges))
 	}
-	return EnumerateLabeled("counter", sp, acts, func(v Vals) bool { return v[0] == 0 }), sp
+	for _, s := range init {
+		b.AddInit(s)
+	}
+	return NewLabeled(b.Build(), actions, off, edges)
 }
 
-func TestEnumerateLabeled(t *testing.T) {
-	ls, _ := labeledFixture(t)
+func TestNewLabeled(t *testing.T) {
+	// x < 2 → x := x+1 (inc); x = 2 → x := 0 (reset).
+	ls := fromRows("counter", NewSpace(Int("x", 3)), []string{"inc", "reset"}, [][]LabeledEdge{
+		{{0, 1}}, {{0, 2}}, {{1, 0}},
+	}, 0)
 	if ls.NumActions() != 2 || ls.ActionName(0) != "inc" || ls.ActionName(1) != "reset" {
 		t.Fatal("action registry wrong")
 	}
@@ -33,14 +49,47 @@ func TestEnumerateLabeled(t *testing.T) {
 	}
 }
 
+// A τ edge keeps its action enabled; two actions may share a successor.
+func TestNewLabeledTauAndSharedSuccessor(t *testing.T) {
+	ls := fromRows("tau", NewSpace(Int("x", 2)), []string{"a", "b"}, [][]LabeledEdge{
+		{{0, 1}, {1, 1}}, {{1, 1}},
+	})
+	if !ls.Enabled(1, 1) || ls.Enabled(1, 0) || !ls.Base().HasTransition(1, 1) {
+		t.Fatal("τ edge lost")
+	}
+	if ls.Base().NumTransitions() != 2 || len(ls.Edges(0)) != 2 {
+		t.Fatalf("base %s, edges(0) %+v", ls.Base(), ls.Edges(0))
+	}
+}
+
+func TestNewLabeledRejectsMalformed(t *testing.T) {
+	b := NewBuilder("base", 2)
+	b.AddTransition(0, 1)
+	base := b.Build()
+	for name, fn := range map[string]func(){
+		"short rows":       func() { NewLabeled(base, []string{"a"}, []int{0, 1}, []LabeledEdge{{0, 1}}) },
+		"action range":     func() { NewLabeled(base, []string{"a"}, []int{0, 1, 1}, []LabeledEdge{{1, 1}}) },
+		"not a transition": func() { NewLabeled(base, []string{"a"}, []int{0, 1, 1}, []LabeledEdge{{0, 0}}) },
+		"unlabeled":        func() { NewLabeled(base, []string{"a"}, []int{0, 0, 0}, nil) },
+		"action order": func() {
+			NewLabeled(base, []string{"a", "b"}, []int{0, 2, 2}, []LabeledEdge{{1, 1}, {0, 1}})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestBoxLabeled(t *testing.T) {
 	sp := NewSpace(Int("x", 3))
-	a := EnumerateLabeled("a", sp, []Action{
-		{Name: "up", Guard: func(v Vals) bool { return v[0] == 0 }, Effect: func(v Vals) { v[0] = 1 }},
-	}, nil)
-	b := EnumerateLabeled("b", sp, []Action{
-		{Name: "down", Guard: func(v Vals) bool { return v[0] == 1 }, Effect: func(v Vals) { v[0] = 0 }},
-	}, func(Vals) bool { return false })
+	a := fromRows("a", sp, []string{"up"}, [][]LabeledEdge{{{0, 1}}, nil, nil}, 0, 1, 2)
+	b := fromRows("b", sp, []string{"down"}, [][]LabeledEdge{nil, {{0, 0}}, nil})
 	boxed := BoxLabeled(a, b)
 	if boxed.NumActions() != 2 || boxed.ActionName(1) != "down" {
 		t.Fatal("action shift wrong")
@@ -51,7 +100,7 @@ func TestBoxLabeled(t *testing.T) {
 	if !boxed.Base().HasTransition(0, 1) || !boxed.Base().HasTransition(1, 0) {
 		t.Fatal("base transitions wrong")
 	}
-	// a had all states initial (nil init); the union keeps them.
+	// a had all states initial; the union keeps them.
 	if boxed.Base().Init().Count() != 3 {
 		t.Fatalf("init = %v", boxed.Base().InitStates())
 	}
@@ -59,12 +108,8 @@ func TestBoxLabeled(t *testing.T) {
 
 func TestPriorityBoxLabeled(t *testing.T) {
 	sp := NewSpace(Int("x", 3))
-	base := EnumerateLabeled("base", sp, []Action{
-		{Name: "spin", Guard: func(v Vals) bool { return true }, Effect: func(v Vals) { v[0] = (v[0] + 1) % 3 }},
-	}, nil)
-	pre := EnumerateLabeled("pre", sp, []Action{
-		{Name: "fix", Guard: func(v Vals) bool { return v[0] == 2 }, Effect: func(v Vals) { v[0] = 0 }},
-	}, func(Vals) bool { return false })
+	base := fromRows("base", sp, []string{"spin"}, [][]LabeledEdge{{{0, 1}}, {{0, 2}}, {{0, 0}}}, 0, 1, 2)
+	pre := fromRows("pre", sp, []string{"fix"}, [][]LabeledEdge{nil, nil, {{0, 0}}})
 	comp := PriorityBoxLabeled(base, pre)
 	// At x=2 only the wrapper acts.
 	edges := comp.Edges(2)
@@ -84,10 +129,8 @@ func TestPriorityBoxLabeled(t *testing.T) {
 }
 
 func TestLabeledMismatchPanics(t *testing.T) {
-	spA := NewSpace(Int("x", 2))
-	spB := NewSpace(Int("x", 3))
-	a := EnumerateLabeled("a", spA, nil, nil)
-	b := EnumerateLabeled("b", spB, nil, nil)
+	a := fromRows("a", NewSpace(Int("x", 2)), nil, make([][]LabeledEdge, 2))
+	b := fromRows("b", NewSpace(Int("x", 3)), nil, make([][]LabeledEdge, 3))
 	for _, fn := range []func(){
 		func() { BoxLabeled(a, b) },
 		func() { PriorityBoxLabeled(a, b) },
@@ -100,5 +143,59 @@ func TestLabeledMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// randomLabeledRows gives each state, per action with probability 1/2,
+// one edge to a random state (τ included).
+func randomLabeledRows(rng *rand.Rand, n, numA int) (*LabeledSystem, [][]LabeledEdge) {
+	actions := make([]string, numA)
+	rows := make([][]LabeledEdge, n)
+	for s := range rows {
+		for a := range actions {
+			if rng.Intn(2) == 0 {
+				rows[s] = append(rows[s], LabeledEdge{Action: a, To: rng.Intn(n)})
+			}
+		}
+	}
+	return fromRows("r", NewSpace(Int("x", n)), actions, rows), rows
+}
+
+// TestQuickLabeledEnabledMatchesEdges: on random labeled systems and
+// their compositions, Enabled(s, a) holds exactly when one of s's edges
+// carries a; BoxLabeled keeps both operands' edges, and
+// PriorityBoxLabeled keeps the wrapper's alone wherever it has one.
+func TestQuickLabeledEnabledMatchesEdges(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 1 + rng.Intn(6)
+		x, xRows := randomLabeledRows(rng, n, 1+rng.Intn(3))
+		y, yRows := randomLabeledRows(rng, n, 1+rng.Intn(3))
+		shift := x.NumActions()
+		for _, preempt := range []bool{false, true} {
+			comp := BoxLabeled(x, y)
+			if preempt {
+				comp = PriorityBoxLabeled(x, y)
+			}
+			for s := 0; s < n; s++ {
+				var want []LabeledEdge
+				if !preempt || len(yRows[s]) == 0 {
+					want = append(want, xRows[s]...)
+				}
+				for _, e := range yRows[s] {
+					want = append(want, LabeledEdge{Action: e.Action + shift, To: e.To})
+				}
+				if got := comp.Edges(s); !slices.Equal(got, want) {
+					t.Fatalf("trial %d preempt=%v: edges(%d) = %v, want %v", trial, preempt, s, got, want)
+				}
+				for a := 0; a < comp.NumActions(); a++ {
+					labeled := slices.ContainsFunc(want, func(e LabeledEdge) bool { return e.Action == a })
+					if comp.Enabled(s, a) != labeled {
+						t.Fatalf("trial %d preempt=%v: Enabled(%d, %d) = %v, want %v",
+							trial, preempt, s, a, comp.Enabled(s, a), labeled)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package system defines the finite-state automaton model of the paper
 // (Definition: a system S is an automaton (Σ, T, I)), together with the
-// structured state spaces, guarded actions, box composition, and
+// structured state spaces, labeled automata, box composition, and
 // abstraction functions used throughout the derivations.
 //
 // States are represented as dense integer indices into a Space, which is a

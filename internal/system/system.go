@@ -18,8 +18,9 @@ import (
 // succ[off[s]:off[s+1]], sorted and duplicate-free, so a whole system is
 // two flat arrays however many states it has.
 //
-// Systems are immutable once built; construct them with a Builder, with
-// Enumerate, or from rows with FromSuccessors.
+// Systems are immutable once built; construct them with a Builder or from
+// rows with FromSuccessors (gcl compiles guarded-command programs into
+// them).
 type System struct {
 	name  string
 	space *Space // may be nil for raw index-based systems

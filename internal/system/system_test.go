@@ -122,65 +122,6 @@ func TestBoxSizeMismatchPanics(t *testing.T) {
 	Box(chain(t, "a", 2), chain(t, "b", 3))
 }
 
-func TestEnumerate(t *testing.T) {
-	sp := NewSpace(Int("x", 3))
-	// x < 2 → x := x+1
-	inc := Action{
-		Name:   "inc",
-		Guard:  func(v Vals) bool { return v[0] < 2 },
-		Effect: func(v Vals) { v[0]++ },
-	}
-	sys := Enumerate("counter", sp, []Action{inc}, func(v Vals) bool { return v[0] == 0 })
-	if sys.NumStates() != 3 || sys.NumTransitions() != 2 {
-		t.Fatalf("got %s", sys)
-	}
-	if !sys.HasTransition(0, 1) || !sys.HasTransition(1, 2) {
-		t.Fatal("wrong transitions")
-	}
-	if !sys.Terminal(2) {
-		t.Fatal("state 2 should be terminal")
-	}
-	if got := sys.InitStates(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("init = %v", got)
-	}
-}
-
-func TestEnumerateNilInitMeansAll(t *testing.T) {
-	sp := NewSpace(Int("x", 3))
-	sys := Enumerate("w", sp, nil, nil)
-	if got := sys.Init().Count(); got != 3 {
-		t.Fatalf("init count = %d, want 3", got)
-	}
-}
-
-func TestEnumerateKeepsStutter(t *testing.T) {
-	sp := NewSpace(Int("x", 2))
-	tau := Action{
-		Name:   "tau",
-		Guard:  func(v Vals) bool { return v[0] == 1 },
-		Effect: func(v Vals) {}, // no change: τ step
-	}
-	sys := Enumerate("stutter", sp, []Action{tau}, nil)
-	if !sys.HasTransition(1, 1) {
-		t.Fatal("stutter transition dropped")
-	}
-}
-
-func TestEnabledActions(t *testing.T) {
-	sp := NewSpace(Int("x", 3))
-	acts := []Action{
-		{Name: "a", Guard: func(v Vals) bool { return v[0] == 1 }, Effect: func(v Vals) { v[0] = 0 }},
-		{Name: "b", Guard: func(v Vals) bool { return v[0] >= 1 }, Effect: func(v Vals) { v[0] = 2 }},
-	}
-	got := EnabledActions(sp, acts, sp.Encode(Vals{1}))
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("EnabledActions = %v", got)
-	}
-	if got := EnabledActions(sp, acts, sp.Encode(Vals{0})); got != nil {
-		t.Fatalf("EnabledActions = %v, want none", got)
-	}
-}
-
 func TestTransitionsEqualAndDiff(t *testing.T) {
 	a := chain(t, "a", 3)
 	b := chain(t, "b", 3)
@@ -237,8 +178,7 @@ func TestStateStringRawAndSpace(t *testing.T) {
 	if got := raw.StateString(1); got != "s1" {
 		t.Fatalf("StateString = %q", got)
 	}
-	sp := NewSpace(Bool("t"))
-	sys := Enumerate("sys", sp, nil, nil)
+	sys := NewSpaceBuilder("sys", NewSpace(Bool("t"))).Build()
 	if got := sys.StateString(1); got != "t=true" {
 		t.Fatalf("StateString = %q", got)
 	}

@@ -6,22 +6,24 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - automata over structured finite state spaces, guarded-command
-//     actions, the box ([]) composition, priority composition, and
-//     abstraction functions (internal/system);
+//   - automata over structured finite state spaces, the box ([])
+//     composition, priority composition, and abstraction functions
+//     (internal/system);
 //   - decision procedures for the paper's relations — refinement,
 //     everywhere refinement, convergence refinement, everywhere-eventually
 //     refinement, and "C is stabilizing to A" — with counterexample
 //     witnesses (internal/core);
-//   - every token-ring system of Sections 3–6 plus the technical report's
-//     K-state derivation (internal/ring);
 //   - a guarded-command language matching the paper's notation, compiled
-//     to automata (internal/gcl);
+//     to automata (internal/gcl) — the one way to define a system's
+//     actions;
+//   - every token-ring system of Sections 3–6 plus the technical report's
+//     K-state derivation, each compiled from guarded-command source
+//     generated per ring size (internal/ring);
 //   - a ring simulator with pluggable daemons and fault injection
 //     (internal/sim), the Section 1 compiler example on a small stack
 //     machine (internal/vm), and the Section 1 bidding server
 //     (internal/bidding);
-//   - the E1–E13 experiment suite regenerating every claim
+//   - the E1–E22 experiment suite regenerating every claim
 //     (internal/experiments).
 //
 // Quick start:
@@ -55,8 +57,6 @@ type (
 	Var = system.Var
 	// Vals is a decoded state: one value per variable.
 	Vals = system.Vals
-	// Action is a guarded command over a Space.
-	Action = system.Action
 	// Abstraction is a total mapping between state spaces (Section 2.3).
 	Abstraction = system.Abstraction
 	// LabeledSystem is an automaton with action identity, for
@@ -76,8 +76,6 @@ var (
 	NewBuilder = system.NewBuilder
 	// NewSpaceBuilder starts an automaton over a structured space.
 	NewSpaceBuilder = system.NewSpaceBuilder
-	// Enumerate compiles guarded actions into an automaton.
-	Enumerate = system.Enumerate
 	// Box is the paper's [] operator: union of automata.
 	Box = system.Box
 	// BoxAll folds Box over several systems.
@@ -237,5 +235,5 @@ var (
 	CompileMini = vm.Compile
 )
 
-// Experiments is the E1–E13 suite regenerating the paper's results.
+// Experiments is the E1–E22 suite regenerating the paper's results.
 var Experiments = experiments.All

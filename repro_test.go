@@ -54,20 +54,20 @@ action spin: true -> x := (x + 1) % 3;
 	// Output: 3 true
 }
 
-// TestFacadeSurface exercises the re-exported API end to end: build an
-// automaton by hand, box a wrapper onto it, and check stabilization.
+// TestFacadeSurface exercises the re-exported API end to end: compile a
+// guarded-command system, then check the paper's relations on the
+// built-in examples.
 func TestFacadeSurface(t *testing.T) {
-	sp := repro.NewSpace(repro.Bool("t"))
-	sys := repro.Enumerate("flip", sp, []repro.Action{{
-		Name:   "flip",
-		Guard:  func(v repro.Vals) bool { return v[0] == 1 },
-		Effect: func(v repro.Vals) { v[0] = 0 },
-	}, {
-		Name:   "flop",
-		Guard:  func(v repro.Vals) bool { return v[0] == 0 },
-		Effect: func(v repro.Vals) { v[0] = 1 },
-	}}, func(v repro.Vals) bool { return v[0] == 0 })
-	rep := repro.SelfStabilizing(sys)
+	flip, err := repro.CompileGCL("flip", `
+var t : bool;
+init !t;
+action flip: t -> t := false;
+action flop: !t -> t := true;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := repro.SelfStabilizing(flip.System)
 	if !rep.Holds {
 		t.Fatalf("flip-flop should self-stabilize: %s", rep.Verdict)
 	}
@@ -92,7 +92,7 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(all) != 22 {
 		t.Fatalf("experiments = %d, want 22", len(all))
 	}
-	rep := all[0]()
+	rep := all[0].Run()
 	if rep.ID != "E1" || !rep.Pass() {
 		t.Fatalf("E1 = %s", rep)
 	}
