@@ -68,14 +68,16 @@ bench:
 bench-check:
 	cd checkbench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz-smoke runs the two differential fuzzers briefly: FuzzCompile
-# checks the table-driven enumeration against the Eval reference, and
-# FuzzAnalyze the linter's exact tier against its reference sweep, on
-# generated programs. -run='^$$' skips the unit tests the suite already
-# ran.
+# fuzz-smoke runs the three differential fuzzers briefly: FuzzCompile
+# checks the table-driven enumeration against the Eval reference,
+# FuzzAnalyze the linter's exact tier against its reference sweep, both
+# on generated programs, and FuzzStabilizing the stabilization checks
+# against their reference procedure on generated automata.
+# -run='^$$' skips the unit tests the suite already ran.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=10s ./internal/gcl
 	$(GO) test -run='^$$' -fuzz='^FuzzAnalyze$$' -fuzztime=10s ./internal/gcl/analysis
+	$(GO) test -run='^$$' -fuzz='^FuzzStabilizing$$' -fuzztime=10s ./internal/core
 
 # cluster-race gives the message-passing runtime a dedicated
 # race-detector pass: it is the most concurrent code in the repository

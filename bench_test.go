@@ -160,6 +160,37 @@ func BenchmarkStabilizationCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkSelfStabilizing and BenchmarkStabilizing measure the
+// stabilization check on cold-check's shapes: ring programs at N = 6
+// (2187 states) with one initial state, under an unlimited meter as the
+// service runs them. A3-D3 checks AggressiveThree against Dijkstra3, a
+// refine pair whose every edge is looked up in the other system.
+func BenchmarkSelfStabilizing(b *testing.B) {
+	d3 := ring.NewThreeState(6).Dijkstra3().WithInit([]int{0})
+	b.Run("D3-N6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.SelfStabilizingGas(mc.NewGas(nil, -1), d3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkStabilizing(b *testing.B) {
+	three := ring.NewThreeState(6)
+	a3 := three.AggressiveThree().WithInit([]int{0})
+	d3 := three.Dijkstra3().WithInit([]int{0})
+	b.Run("A3-D3-N6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.StabilizingGas(mc.NewGas(nil, -1), a3, d3, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkConvergenceRefinementCheck measures [C1 ⪯ BTR].
 func BenchmarkConvergenceRefinementCheck(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {

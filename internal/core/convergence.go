@@ -87,11 +87,11 @@ func ConvergenceRefinementGas(g *mc.Gas, c, a *system.System, ab *system.Abstrac
 			return true, nil
 		}
 		if cComp == nil {
-			var err error
-			_, cComp, err = mc.SCCsGas(g, c, nil)
+			cd, err := mc.SCCsGas(g, c, nil)
 			if err != nil {
 				return false, err
 			}
+			cComp = cd.Comp
 		}
 		return cComp[s] == cComp[t], nil
 	}

@@ -84,22 +84,23 @@ func FairStabilizingGas(g *mc.Gas, c *system.LabeledSystem, a *system.System, ab
 	}
 
 	// Violation 2: fairness-admissible SCCs containing a bad event.
-	comps, comp, err := mc.SCCsGas(g, base, nil)
+	cd, err := mc.SCCsGas(g, base, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, scc := range comps {
+	for i := 0; i < cd.Len(); i++ {
 		if err := g.Tick(1); err != nil {
 			return nil, err
 		}
-		if !sccCyclic(base, scc) {
+		if !cd.Cyclic[i] {
 			continue
 		}
-		bad := sccBadEvent(scc, comp, c, badState, badEdge)
+		scc := cd.Component(i)
+		bad := sccBadEvent(scc, cd.Comp, c, badState, badEdge)
 		if bad == nil {
 			continue
 		}
-		if starved := sccStarvedAction(scc, comp, c); starved >= 0 {
+		if starved := sccStarvedAction(scc, cd.Comp, c); starved >= 0 {
 			// Some action is enabled at every state of the SCC but never
 			// taken inside it: no fair run can stay here.
 			continue
@@ -125,40 +126,15 @@ func FairStabilizingGas(g *mc.Gas, c *system.LabeledSystem, a *system.System, ab
 	}
 
 	// Legitimate region, as in the unfair check.
-	badCore := bitset.New(base.NumStates())
-	for s := 0; s < base.NumStates(); s++ {
-		if err := g.Tick(1); err != nil {
-			return nil, err
-		}
-		if badState(s) {
-			badCore.Add(s)
-			continue
-		}
-		for _, t := range base.Succ(s) {
-			if badEdge(s, t) {
-				badCore.Add(s)
-				break
-			}
-		}
-	}
-	canReachBad, err := mc.CanReachGas(g, base, badCore)
+	sw, err := sweepBadEvents(g, base, cd, badState, badEdge)
 	if err != nil {
 		return nil, err
 	}
-	good := canReachBad.Complement()
-	rep.Legitimate = good.Members()
+	rep.Legitimate = sw.legitimate(cd)
 	rep.Verdict = ok(relation,
 		fmt.Sprintf("every weakly-fair computation has a suffix tracking %s; %d of %d states are legitimate",
-			a.Name(), good.Count(), base.NumStates()))
+			a.Name(), len(rep.Legitimate), base.NumStates()))
 	return rep, nil
-}
-
-// sccCyclic reports whether the component sustains an infinite run.
-func sccCyclic(base *system.System, scc []int) bool {
-	if len(scc) > 1 {
-		return true
-	}
-	return base.HasTransition(scc[0], scc[0])
 }
 
 // sccBadEvent returns a description of a bad event inside the component,

@@ -105,13 +105,15 @@ func suffixTracking(g *mc.Gas, relation string, c, a *system.System, ab *system.
 	}
 	// Checked against itself under the identity, every step of C is a
 	// step of A: no edge is bad, and the per-edge lookups are skipped.
-	self := c == a && ab == nil
-	badEdge := func(s, t int) bool {
-		as, at := alpha.Of(s), alpha.Of(t)
-		if a.HasTransition(as, at) {
-			return false
+	var badEdge func(s, t int) bool
+	if c != a || ab != nil {
+		badEdge = func(s, t int) bool {
+			as, at := alpha.Of(s), alpha.Of(t)
+			if a.HasTransition(as, at) {
+				return false
+			}
+			return !(stutterOK && as == at)
 		}
-		return !(stutterOK && as == at)
 	}
 
 	// Violation 1: bad terminals.
@@ -134,43 +136,32 @@ func suffixTracking(g *mc.Gas, relation string, c, a *system.System, ab *system.
 
 	// Violations 2: bad states / bad steps on cycles. An edge (s, t) lies
 	// on a cycle iff s and t share an SCC; a state lies on a cycle iff its
-	// SCC is cyclic.
-	_, comp, err := mc.SCCsGas(g, c, nil)
+	// SCC is cyclic. The same sweep finds the legitimate region.
+	cd, err := mc.SCCsGas(g, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	cyclic := cyclicComponents(c, comp)
-	for s := 0; s < c.NumStates(); s++ {
-		if err := g.Tick(1); err != nil {
+	sw, err := sweepBadEvents(g, c, cd, badState, badEdge)
+	if err != nil {
+		return nil, err
+	}
+	if s := sw.at; s >= 0 {
+		cyc, err := cycleThrough(g, c, cd, s)
+		if err != nil {
 			return nil, err
 		}
-		if badState(s) && cyclic[comp[s]] {
-			cyc, err := cycleThrough(g, c, comp, s)
-			if err != nil {
-				return nil, err
-			}
+		if sw.step < 0 {
 			rep.Verdict = fail(relation,
 				fmt.Sprintf("state %s (α-image outside %s's reachable region) lies on a cycle: a computation revisits it forever and no suffix escapes it",
 					c.StateString(s), a.Name()),
 				[]int{s}, cyc)
-			return rep, nil
+		} else {
+			rep.Verdict = fail(relation,
+				fmt.Sprintf("step %s → %s does not track %s and lies on a cycle: a computation incurs it infinitely often",
+					c.StateString(s), c.StateString(sw.step), a.Name()),
+				[]int{s, sw.step}, cyc)
 		}
-		if self {
-			continue
-		}
-		for _, t := range c.Succ(s) {
-			if badEdge(s, t) && comp[s] == comp[t] {
-				cyc, err := cycleThrough(g, c, comp, s)
-				if err != nil {
-					return nil, err
-				}
-				rep.Verdict = fail(relation,
-					fmt.Sprintf("step %s → %s does not track %s and lies on a cycle: a computation incurs it infinitely often",
-						c.StateString(s), c.StateString(t), a.Name()),
-					[]int{s, t}, cyc)
-				return rep, nil
-			}
-		}
+		return rep, nil
 	}
 
 	// Violation 3: pure-stutter divergence.
@@ -189,35 +180,80 @@ func suffixTracking(g *mc.Gas, relation string, c, a *system.System, ab *system.
 	// The relation holds. For reporting, the legitimate region is the set
 	// of states from which no bad event is reachable: all computations
 	// from these states track A (within the legitimate region) forever.
-	badCore := bitset.New(c.NumStates())
-	for s := 0; s < c.NumStates(); s++ {
-		if err := g.Tick(1); err != nil {
-			return nil, err
-		}
-		if badState(s) {
-			badCore.Add(s)
-			continue
-		}
-		if self {
-			continue
-		}
-		for _, t := range c.Succ(s) {
-			if badEdge(s, t) {
-				badCore.Add(s)
-				break
-			}
-		}
-	}
-	canReachBad, err := mc.CanReachGas(g, c, badCore)
-	if err != nil {
-		return nil, err
-	}
-	gset := canReachBad.Complement()
-	rep.Legitimate = gset.Members()
+	rep.Legitimate = sw.legitimate(cd)
 	rep.Verdict = ok(relation,
 		fmt.Sprintf("every computation has a suffix tracking %s; %d of %d states are legitimate (no bad event reachable)",
-			a.Name(), gset.Count(), c.NumStates()))
+			a.Name(), len(rep.Legitimate), c.NumStates()))
 	return rep, nil
+}
+
+// badSweep is what one pass over a condensation learns about bad events.
+type badSweep struct {
+	// at is the smallest state that incurs a bad event on a cycle: a bad
+	// state in a cyclic component, or the source of a bad step inside its
+	// own component; −1 if there is none. step is the target of at's
+	// first such step, or −1 when at is itself bad.
+	at, step int
+	// reachBad[i] reports whether a bad event is reachable from
+	// component i.
+	reachBad []bool
+}
+
+// sweepBadEvents visits the components of cd in emission order, sinks
+// first, so every component an edge leads into is decided before the
+// edge's source. A component reaches a bad event iff a member is bad or
+// takes a bad step, or an edge enters a component that reaches one. A nil
+// badEdge means no step is bad. Each edge is checked against badEdge at
+// most once, and only while the answer can still change the outcome.
+func sweepBadEvents(g *mc.Gas, c *system.System, cd *mc.Condensation, badState func(int) bool, badEdge func(int, int) bool) (badSweep, error) {
+	sw := badSweep{at: -1, step: -1, reachBad: make([]bool, cd.Len())}
+	for i := range sw.reachBad {
+		reach := false
+		for _, s := range cd.Component(i) {
+			succ := c.Succ(s)
+			if err := g.Tick(1 + len(succ)); err != nil {
+				return sw, err
+			}
+			// s can displace the violation found so far only if smaller.
+			open := sw.at < 0 || s < sw.at
+			if badState(s) {
+				reach = true
+				if open && cd.Cyclic[i] {
+					sw.at, sw.step, open = s, -1, false
+				}
+			}
+			for _, t := range succ {
+				if j := cd.Comp[t]; j != i {
+					reach = reach || sw.reachBad[j] || (badEdge != nil && badEdge(s, t))
+				} else if (open || !reach) && badEdge != nil && badEdge(s, t) {
+					reach = true
+					if open {
+						sw.at, sw.step, open = s, t, false
+					}
+				}
+			}
+		}
+		sw.reachBad[i] = reach
+	}
+	return sw, nil
+}
+
+// legitimate lists, in index order, the states of the components from
+// which no bad event is reachable.
+func (sw badSweep) legitimate(cd *mc.Condensation) []int {
+	size := 0
+	for i, reach := range sw.reachBad {
+		if !reach {
+			size += len(cd.Component(i))
+		}
+	}
+	out := make([]int, 0, size)
+	for s, ci := range cd.Comp {
+		if !sw.reachBad[ci] {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // describeBadAnchor explains why an abstract state cannot anchor a valid
@@ -232,33 +268,9 @@ func describeBadAnchor(a *system.System, as int, legit *bitset.Set) string {
 	return "not terminal in " + a.Name()
 }
 
-// cyclicComponents marks the SCC indices that contain a cycle (size > 1,
-// or a single state with a self-loop). comp holds component indices in
-// [0, n) or −1, as mc.SCCsGas returns them.
-func cyclicComponents(c *system.System, comp []int) []bool {
-	size := make([]int, len(comp))
-	for _, ci := range comp {
-		if ci >= 0 {
-			size[ci]++
-		}
-	}
-	cyclic := make([]bool, len(comp))
-	for s, ci := range comp {
-		if ci >= 0 && (size[ci] > 1 || c.HasTransition(s, s)) {
-			cyclic[ci] = true
-		}
-	}
-	return cyclic
-}
-
 // cycleThrough extracts a cycle inside s's component, for witness display.
-func cycleThrough(g *mc.Gas, c *system.System, comp []int, s int) ([]int, error) {
-	members := bitset.New(c.NumStates())
-	for t := 0; t < c.NumStates(); t++ {
-		if comp[t] == comp[s] {
-			members.Add(t)
-		}
-	}
+func cycleThrough(g *mc.Gas, c *system.System, cd *mc.Condensation, s int) ([]int, error) {
+	members := bitset.FromSlice(c.NumStates(), cd.Component(cd.Comp[s]))
 	cyc, err := mc.FindCycleWithinGas(g, c, members)
 	if err != nil {
 		return nil, err

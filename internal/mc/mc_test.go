@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -34,32 +35,6 @@ func TestReachFromInit(t *testing.T) {
 	got := ReachFromInit(sys)
 	if got.Count() != 4 {
 		t.Fatalf("Reach = %v", got)
-	}
-}
-
-func TestCanReach(t *testing.T) {
-	sys := build(t, 5, [][2]int{{0, 1}, {1, 2}, {3, 2}, {4, 0}})
-	got := CanReach(sys, bitset.FromSlice(5, []int{2}))
-	if !got.Equal(bitset.FromSlice(5, []int{0, 1, 2, 3, 4})) {
-		t.Fatalf("CanReach = %v", got)
-	}
-	got = CanReach(sys, bitset.FromSlice(5, []int{4}))
-	if !got.Equal(bitset.FromSlice(5, []int{4})) {
-		t.Fatalf("CanReach = %v", got)
-	}
-}
-
-func TestPredecessors(t *testing.T) {
-	sys := build(t, 3, [][2]int{{0, 2}, {1, 2}, {2, 0}})
-	pred := Predecessors(sys)
-	if len(pred[2]) != 2 || pred[2][0] != 0 || pred[2][1] != 1 {
-		t.Fatalf("pred[2] = %v", pred[2])
-	}
-	if len(pred[0]) != 1 || pred[0][0] != 2 {
-		t.Fatalf("pred[0] = %v", pred[0])
-	}
-	if len(pred[1]) != 0 {
-		t.Fatalf("pred[1] = %v", pred[1])
 	}
 }
 
@@ -104,10 +79,11 @@ func TestPathFromInit(t *testing.T) {
 func TestSCCs(t *testing.T) {
 	// Two SCCs: {0,1,2} cycle and {3}; plus 4 with self-loop.
 	sys := build(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 4}})
-	comps, comp := SCCs(sys, nil)
-	if len(comps) != 3 {
-		t.Fatalf("got %d components: %v", len(comps), comps)
+	cd := SCCs(sys, nil)
+	if cd.Len() != 3 {
+		t.Fatalf("got %d components: %+v", cd.Len(), cd)
 	}
+	comp := cd.Comp
 	if comp[0] != comp[1] || comp[1] != comp[2] {
 		t.Fatal("cycle states in different components")
 	}
@@ -115,29 +91,110 @@ func TestSCCs(t *testing.T) {
 		t.Fatal("separate states merged")
 	}
 	// Reverse topological order: {3} must be emitted before {0,1,2}.
-	var big, single int
-	for i, c := range comps {
-		if len(c) == 3 {
-			big = i
-		}
-		if len(c) == 1 && c[0] == 3 {
-			single = i
+	if comp[3] > comp[0] {
+		t.Fatal("SCC emission not reverse-topological")
+	}
+	// Members as rows: every state once, in its own component's row.
+	if len(cd.Members) != 5 || cd.Off[cd.Len()] != 5 {
+		t.Fatalf("members = %v, off = %v", cd.Members, cd.Off)
+	}
+	for i := 0; i < cd.Len(); i++ {
+		for _, s := range cd.Component(i) {
+			if comp[s] != i {
+				t.Fatalf("state %d listed under component %d, comp %d", s, i, comp[s])
+			}
 		}
 	}
-	if single > big {
-		t.Fatal("SCC emission not reverse-topological")
+	// Cyclic: the 3-cycle and the self-loop, not the sink {3}.
+	if !cd.Cyclic[comp[0]] || !cd.Cyclic[comp[4]] || cd.Cyclic[comp[3]] {
+		t.Fatalf("cyclic = %v, comp = %v", cd.Cyclic, comp)
 	}
 }
 
 func TestSCCsWithin(t *testing.T) {
 	sys := build(t, 3, [][2]int{{0, 1}, {1, 0}, {1, 2}})
 	within := bitset.FromSlice(3, []int{0, 2})
-	comps, comp := SCCs(sys, within)
-	if len(comps) != 2 {
-		t.Fatalf("components = %v", comps)
+	cd := SCCs(sys, within)
+	if cd.Len() != 2 || len(cd.Members) != 2 {
+		t.Fatalf("components = %+v", cd)
 	}
-	if comp[1] != -1 {
+	if cd.Comp[1] != -1 {
 		t.Fatal("excluded state got a component")
+	}
+	// The 0 ↔ 1 cycle leaves the subset: nothing inside is cyclic.
+	if cd.Cyclic[0] || cd.Cyclic[1] {
+		t.Fatalf("cyclic = %v", cd.Cyclic)
+	}
+}
+
+// TestSCCsRandom checks the condensation against its definition on
+// random graphs and subsets: components are the mutual-reachability
+// classes inside the subset, numbered sinks first, listed once each, and
+// cyclic exactly when they sustain a cycle.
+func TestSCCsRandom(t *testing.T) {
+	for trial := 0; trial < 500; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 1 + rng.Intn(10)
+		var edges [][2]int
+		for m := rng.Intn(3 * n); m > 0; m-- {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		sys := build(t, n, edges)
+		region := bitset.Full(n)
+		var within *bitset.Set
+		if rng.Intn(2) == 0 {
+			within = bitset.New(n)
+			for s := 0; s < n; s++ {
+				if rng.Intn(3) > 0 {
+					within.Add(s)
+				}
+			}
+			region = within
+		}
+		cd := SCCs(sys, within)
+		reach := make([]*bitset.Set, n)
+		for s := 0; s < n; s++ {
+			reach[s] = reachWithin(sys, bitset.FromSlice(n, []int{s}), region)
+		}
+		listed := 0
+		for i := 0; i < cd.Len(); i++ {
+			members := cd.Component(i)
+			listed += len(members)
+			for _, s := range members {
+				if cd.Comp[s] != i {
+					t.Fatalf("trial %d: state %d in row %d has comp %d", trial, s, i, cd.Comp[s])
+				}
+			}
+			if want := len(members) > 1 || sys.HasTransition(members[0], members[0]); cd.Cyclic[i] != want {
+				t.Fatalf("trial %d: component %d cyclic = %v, want %v", trial, i, cd.Cyclic[i], want)
+			}
+		}
+		if listed != region.Count() || len(cd.Members) != listed {
+			t.Fatalf("trial %d: %d members listed, subset has %d", trial, listed, region.Count())
+		}
+		for s := 0; s < n; s++ {
+			if !region.Has(s) {
+				if cd.Comp[s] != -1 {
+					t.Fatalf("trial %d: excluded state %d in component %d", trial, s, cd.Comp[s])
+				}
+				continue
+			}
+			for u := 0; u < n; u++ {
+				if !region.Has(u) {
+					continue
+				}
+				mutual := reach[s].Has(u) && reach[u].Has(s)
+				if (cd.Comp[s] == cd.Comp[u]) != mutual {
+					t.Fatalf("trial %d: states %d, %d share a component = %v, mutually reachable = %v",
+						trial, s, u, cd.Comp[s] == cd.Comp[u], mutual)
+				}
+			}
+			for _, u := range sys.Succ(s) {
+				if region.Has(u) && cd.Comp[u] > cd.Comp[s] {
+					t.Fatalf("trial %d: edge %d → %d climbs from component %d to %d", trial, s, u, cd.Comp[s], cd.Comp[u])
+				}
+			}
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package mc is the graph engine under the refinement and stabilization
-// checkers: forward/backward reachability, Tarjan strongly-connected
-// components, shortest-path witnesses, and cycle detection restricted to a
-// state subset. Everything operates on the automata of internal/system and
-// is deterministic (successors are visited in sorted order).
+// checkers: forward reachability, a flat Tarjan condensation into
+// strongly connected components, shortest-path witnesses, and cycle
+// detection restricted to a state subset. Everything operates on the
+// automata of internal/system and is deterministic (successors are
+// visited in sorted order).
 //
 // Every sweep comes in two forms: the plain entry point (Reach, SCCs, …),
 // which always runs to completion, and a metered variant (ReachGas,
@@ -54,78 +55,6 @@ func ReachFromInit(sys *system.System) *bitset.Set {
 // ReachFromInitGas is ReachFromInit under a meter.
 func ReachFromInitGas(g *Gas, sys *system.System) (*bitset.Set, error) {
 	return ReachGas(g, sys, sys.Init())
-}
-
-// CanReach returns the set of states from which some state in `target` is
-// reachable (backward reachability; includes target itself). Backward edges
-// are materialized on the fly by a predecessor index.
-func CanReach(sys *system.System, target *bitset.Set) *bitset.Set {
-	seen, _ := CanReachGas(nil, sys, target)
-	return seen
-}
-
-// CanReachGas is CanReach under a meter (the predecessor-index build is
-// metered too: it alone touches every edge of the system).
-func CanReachGas(g *Gas, sys *system.System, target *bitset.Set) (*bitset.Set, error) {
-	pred, err := predecessorsGas(g, sys)
-	if err != nil {
-		return nil, err
-	}
-	seen := target.Clone()
-	stack := target.Members()
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if err := g.Tick(1 + len(pred[s])); err != nil {
-			return nil, err
-		}
-		for _, p := range pred[s] {
-			if !seen.Has(p) {
-				seen.Add(p)
-				stack = append(stack, p)
-			}
-		}
-	}
-	return seen, nil
-}
-
-// Predecessors builds the reversed adjacency of sys: pred[t] lists every s
-// with (s, t) ∈ T, in increasing order.
-func Predecessors(sys *system.System) [][]int {
-	pred, _ := predecessorsGas(nil, sys)
-	return pred
-}
-
-// predecessorsGas builds the reversed adjacency as rows of one backing
-// array: a counting pass sizes each row, a fill pass places the sources.
-func predecessorsGas(g *Gas, sys *system.System) ([][]int, error) {
-	n := sys.NumStates()
-	off := make([]int, n+1)
-	for s := 0; s < n; s++ {
-		succ := sys.Succ(s)
-		if err := g.Tick(len(succ)); err != nil {
-			return nil, err
-		}
-		for _, t := range succ {
-			off[t+1]++
-		}
-	}
-	for t := 0; t < n; t++ {
-		off[t+1] += off[t]
-	}
-	backing := make([]int, off[n])
-	pred := make([][]int, n)
-	for t := range pred {
-		pred[t] = backing[off[t]:off[t]:off[t+1]]
-	}
-	// Sources are visited in increasing order, so every row comes out
-	// sorted.
-	for s := 0; s < n; s++ {
-		for _, t := range sys.Succ(s) {
-			pred[t] = append(pred[t], s)
-		}
-	}
-	return pred, nil
 }
 
 // BFSTree holds the result of a breadth-first search from a single source:

@@ -5,117 +5,138 @@ import (
 	"repro/internal/system"
 )
 
-// SCCs computes the strongly connected components of sys restricted to the
-// states in `within` (nil means all states), using an iterative Tarjan
-// algorithm. Components are returned in reverse topological order (Tarjan's
-// natural emission order: a component is emitted only after everything it
-// can reach). comp[s] is the component index of s, or -1 if s ∉ within.
-func SCCs(sys *system.System, within *bitset.Set) (components [][]int, comp []int) {
-	components, comp, _ = SCCsGas(nil, sys, within)
-	return components, comp
+// Condensation is the strongly connected components of a system, or of
+// its restriction to a state subset, as flat arrays. Components are
+// numbered in Tarjan's emission order, which is reverse topological: a
+// component is emitted only after every component it can reach, so sinks
+// come first and an edge from component i into another component enters
+// one numbered below i.
+type Condensation struct {
+	// Comp[s] is the component of s, or −1 if s lies outside the subset.
+	Comp []int
+	// Off and Members hold the components as compressed sparse rows: the
+	// members of component i are Members[Off[i]:Off[i+1]], in the order
+	// Tarjan popped them.
+	Off     []int
+	Members []int
+	// Cyclic[i] reports whether component i sustains an infinite run: it
+	// has more than one member, or its one member has a self-loop.
+	Cyclic []bool
 }
 
-// SCCsGas is SCCs under a meter: it ticks g once per discovered state and
-// once per examined edge. The components are subslices of one backing
-// array, filled in emission order.
-func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (components [][]int, comp []int, err error) {
+// Len returns the number of components.
+func (cd *Condensation) Len() int { return len(cd.Off) - 1 }
+
+// Component returns the members of component i.
+func (cd *Condensation) Component(i int) []int { return cd.Members[cd.Off[i]:cd.Off[i+1]] }
+
+// SCCs computes the strongly connected components of sys restricted to the
+// states in `within` (nil means all states), using an iterative Tarjan
+// algorithm.
+func SCCs(sys *system.System, within *bitset.Set) *Condensation {
+	cd, _ := SCCsGas(nil, sys, within)
+	return cd
+}
+
+// SCCsGas is SCCs under a meter: it ticks g 1+|succ| per discovered
+// state. The per-state buffers are sized from the state count once; the
+// DFS call stack grows with the search depth, which on the ring families
+// is a few dozen frames however many states there are.
+func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, error) {
 	n := sys.NumStates()
-	const unvisited = -1
+	// index −1 means unvisited. A visited state stays on Tarjan's stack
+	// until its component is emitted, so "on the stack" is "visited with
+	// Comp < 0".
 	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp = make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = -1
+	comp := make([]int, n)
+	for s := range index {
+		index[s] = -1
+		comp[s] = -1
 	}
-	var stack []int
-	// Every component's members back to back, in emission order; starts
-	// holds where each component begins.
-	members := make([]int, 0, n)
-	var starts []int
-	next := 0
+	// Emitted members fill buf from the front and Tarjan's stack grows down
+	// from the back: together they never hold more than n states.
+	buf := make([]int, n)
+	emitted, top := 0, n
+	cd := &Condensation{Comp: comp, Off: make([]int, 1, n+1), Cyclic: make([]bool, 0, n)}
 
-	inSet := func(s int) bool { return within == nil || within.Has(s) }
-
-	// Iterative Tarjan with an explicit call frame per state.
+	// Iterative DFS with an explicit call frame per state on the DFS path.
+	// A state's low-link is read only while it is on that path, so it
+	// lives in its frame. A frame is pushed undiscovered and discovered
+	// when it first reaches the top; loop records a self-loop seen while
+	// scanning the state's row.
 	type frame struct {
-		s  int
-		ei int // index into Succ(s)
+		s, ei, low int
+		loop       bool
 	}
-	var call []frame // reused across roots
+	var call []frame
+	next := 0
 	for root := 0; root < n; root++ {
-		if index[root] != unvisited || !inSet(root) {
+		if index[root] >= 0 || (within != nil && !within.Has(root)) {
 			continue
 		}
-		call = append(call[:0], frame{s: root})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		call = append(call, frame{s: root})
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			succ := sys.Succ(f.s)
-			advanced := false
-			if err := g.Tick(1); err != nil {
-				return nil, nil, err
+			if index[f.s] < 0 {
+				if err := g.Tick(1 + len(succ)); err != nil {
+					return nil, err
+				}
+				index[f.s], f.low = next, next
+				next++
+				top--
+				buf[top] = f.s
 			}
+			descended := false
 			for f.ei < len(succ) {
 				t := succ[f.ei]
 				f.ei++
-				if !inSet(t) {
+				if t == f.s {
+					f.loop = true
 					continue
 				}
-				if index[t] == unvisited {
-					index[t] = next
-					low[t] = next
-					next++
-					stack = append(stack, t)
-					onStack[t] = true
+				if within != nil && !within.Has(t) {
+					continue
+				}
+				if index[t] < 0 {
 					call = append(call, frame{s: t})
-					advanced = true
+					descended = true
 					break
 				}
-				if onStack[t] && index[t] < low[f.s] {
-					low[f.s] = index[t]
+				if comp[t] < 0 && index[t] < f.low {
+					f.low = index[t]
 				}
 			}
-			if advanced {
+			if descended {
 				continue
 			}
-			// f.s finished.
-			if low[f.s] == index[f.s] {
-				starts = append(starts, len(members))
+			// f.s finished: emit its component if it is the root of one.
+			done := *f
+			call = call[:len(call)-1]
+			if done.low == index[done.s] {
+				ci, first := cd.Len(), emitted
 				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = len(starts) - 1
-					members = append(members, w)
-					if w == f.s {
+					w := buf[top]
+					top++
+					comp[w] = ci
+					buf[emitted] = w
+					emitted++
+					if w == done.s {
 						break
 					}
 				}
+				cd.Off = append(cd.Off, emitted)
+				cd.Cyclic = append(cd.Cyclic, done.loop || emitted-first > 1)
 			}
-			call = call[:len(call)-1]
 			if len(call) > 0 {
-				parent := call[len(call)-1].s
-				if low[f.s] < low[parent] {
-					low[parent] = low[f.s]
+				if p := &call[len(call)-1]; done.low < p.low {
+					p.low = done.low
 				}
 			}
 		}
 	}
-	components = make([][]int, len(starts))
-	for i, lo := range starts {
-		hi := len(members)
-		if i+1 < len(starts) {
-			hi = starts[i+1]
-		}
-		components[i] = members[lo:hi:hi]
-	}
-	return components, comp, nil
+	cd.Members = buf[:emitted:emitted]
+	return cd, nil
 }
 
 // Cycle holds a witness cycle: states[0] == states[len-1] is implied (the
@@ -132,23 +153,25 @@ func FindCycleWithin(sys *system.System, within *bitset.Set) *Cycle {
 	return cyc
 }
 
-// FindCycleWithinGas is FindCycleWithin under a meter.
+// FindCycleWithinGas is FindCycleWithin under a meter. The cycle lies in
+// the first cyclic component Tarjan emits.
 func FindCycleWithinGas(g *Gas, sys *system.System, within *bitset.Set) (*Cycle, error) {
-	components, comp, err := SCCsGas(g, sys, within)
+	cd, err := SCCsGas(g, sys, within)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range components {
+	for i := 0; i < cd.Len(); i++ {
 		if err := g.Tick(1); err != nil {
 			return nil, err
 		}
+		if !cd.Cyclic[i] {
+			continue
+		}
+		c := cd.Component(i)
 		if len(c) > 1 {
-			return traceCycle(sys, within, comp, c), nil
+			return traceCycle(sys, within, cd.Comp, c), nil
 		}
-		s := c[0]
-		if sys.HasTransition(s, s) {
-			return &Cycle{States: []int{s}}, nil
-		}
+		return &Cycle{States: []int{c[0]}}, nil
 	}
 	return nil, nil
 }

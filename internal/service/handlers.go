@@ -279,6 +279,13 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, err)
 		return
 	}
+	// Refinement compares two systems over one space. A mismatch is the
+	// client's error and is known from the declarations alone, so it is
+	// refused before either program is enumerated.
+	if !gcl.SpaceOf(concrete).SameShape(gcl.SpaceOf(abstract)) {
+		s.writeComputeError(w, badRequest("programs declare different state spaces; refine requires a shared space"))
+		return
+	}
 	fpC, fpA := gcl.Fingerprint(concrete), gcl.Fingerprint(abstract)
 	key := cache.Key(kindRefine, fpC, fpA)
 	if s.serveFromCache(w, key, started) {
@@ -294,9 +301,6 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		ca, err := gcl.CompileProgramGas(g, "abstract", abstract)
 		if err != nil {
 			return nil, enumerationError(g, "abstract", err)
-		}
-		if !cc.Space.SameShape(ca.Space) {
-			return nil, badRequest("programs declare different state spaces; refine requires a shared space")
 		}
 		vInit, err := core.RefinementInitGas(g, cc.System, ca.System, nil)
 		if err != nil {

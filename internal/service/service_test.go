@@ -651,6 +651,32 @@ func TestServiceBudgetMetersEnumeration(t *testing.T) {
 	}
 }
 
+// TestServiceRefineSpaceMismatchBeforeEnumeration: programs over different
+// state spaces are refused at admission, so even a budget too small to
+// enumerate either one gets 400 naming the mismatch, not 422.
+func TestServiceRefineSpaceMismatchBeforeEnumeration(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: -1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	small := "var a : 0..1;\naction flip: true -> a := 1 - a;"
+	resp, body := postJSON(t, ts.URL+"/v1/refine", RefineRequest{
+		Concrete: bigSelfStabSource, Abstract: small, Budget: 1})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "different state spaces") {
+		t.Fatalf("mismatched pair: status %d, want 400 naming the mismatch: %s", resp.StatusCode, body)
+	}
+	// A matched pair still reaches the checker: budget 1 exhausts it.
+	resp, body = postJSON(t, ts.URL+"/v1/refine", RefineRequest{Concrete: small, Abstract: small, Budget: 1})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("matched pair: status %d, want 422: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/refine", RefineRequest{Concrete: small, Abstract: small})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("matched pair: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestServiceTimeoutFreesEnumeratingWorker: a deadline that fires while
 // the only worker is still enumerating cancels the enumeration through
 // the request's gas meter, so the worker is free long before the
