@@ -158,13 +158,14 @@ bench-fleet:
 	@echo "wrote BENCH_fleet.json"
 
 # journal-race gives the event journal and its consumers a dedicated
-# race-detector pass: the group-commit writer, concurrent appenders,
-# projection drivers, the service integration (replay → converge →
-# ready), and the fleet's journal-suffix anti-entropy all interleave
-# goroutines; the kill-between-snapshots binary tests ride along in
-# cmd/checkd.
+# race-detector pass: the group-commit writer and concurrent appenders,
+# the service's live appends, its replay in New racing millisecond
+# cache snapshots, and the fleet's journal-suffix anti-entropy all
+# interleave goroutines; the kill-between-snapshots binary tests ride
+# along in cmd/checkd.
 journal-race:
 	$(GO) test -race -count=2 ./internal/journal/... ./cmd/checkd/...
+	$(GO) test -race -count=2 -run 'Journal|Replay' ./internal/service/... ./internal/fleet/...
 
 # journal-compact-race hammers the retention layer specifically: the
 # writer-goroutine compactor racing concurrent appenders, the

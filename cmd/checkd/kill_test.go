@@ -142,7 +142,7 @@ func TestKillBetweenSnapshotsReplaysFromJournal(t *testing.T) {
 
 	base2, shutdown := startCheckd(t, args...)
 	defer shutdown()
-	waitReady(t, base2) // 503 "replaying" until the projections converge
+	waitReady(t, base2) // replay finished before checkd started listening
 	if m := postRingsim(t, base2); m["cached"] != true {
 		t.Fatalf("restarted checkd recomputed instead of replaying the journaled verdict: %v", m)
 	}

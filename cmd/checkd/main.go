@@ -17,12 +17,12 @@
 // to the file periodically and on graceful shutdown, and reloaded on
 // boot (corrupt entries are skipped and counted in /metrics).
 //
-// With -journal-path every request, verdict, and outcome is appended to
-// an event journal (group-committed, checksum-framed) and the verdict
-// cache and /metrics counters are rebuilt from it on boot — so a hard
-// kill between cache snapshots loses at most one un-flushed batch, not
-// the whole inter-snapshot window. /readyz reports "replaying" until
-// the projections converge.
+// With -journal-path every request, verdict, and outcome is also
+// appended to an event journal (group-committed, checksum-framed), and
+// the verdict cache and /metrics counters are rebuilt from it once, on
+// boot, before checkd starts listening — so a hard kill between cache
+// snapshots loses at most one un-flushed batch, not the whole
+// inter-snapshot window.
 //
 // With -journal-max-bytes the journal file is additionally kept under a
 // disk budget: a retention loop snapshots the cache every

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -169,18 +170,16 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// buildProtocol constructs a protocol family by CLI name.
+// buildProtocol is sim.NewProtocol with errors that name the CLI flag.
+// Every subcommand rejects -p < 3 before calling it, so any other error
+// is kstate's -k.
 func buildProtocol(name string, p, k int) (sim.Protocol, error) {
-	switch name {
-	case "dijkstra3":
-		return sim.NewDijkstra3(p), nil
-	case "dijkstra4":
-		return sim.NewDijkstra4(p), nil
-	case "kstate":
-		return sim.NewKState(p, k), nil
-	case "newthree":
-		return sim.NewNewThree(p), nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
+	proto, err := sim.NewProtocol(name, p, k)
+	switch {
+	case errors.Is(err, sim.ErrUnknownFamily):
+		return nil, fmt.Errorf("-protocol: unknown protocol %q", name)
+	case err != nil:
+		return nil, fmt.Errorf("-k %d: %w", k, err)
 	}
+	return proto, nil
 }

@@ -77,6 +77,20 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunKStateModulusTooSmall: a kstate counter modulus of 1 passes
+// the up-front -k ≥ 1 check but is no protocol; every subcommand that
+// builds one returns an error naming -k instead of panicking.
+func TestRunKStateModulusTooSmall(t *testing.T) {
+	for _, sub := range [][]string{nil, {"cluster"}, {"chaos"}} {
+		args := append(append([]string(nil), sub...), "-protocol", "kstate", "-p", "5", "-k", "1")
+		var b strings.Builder
+		err := run(args, &b)
+		if err == nil || !strings.Contains(err.Error(), "-k 1") {
+			t.Fatalf("run %v: err = %v, want an error naming -k 1", args, err)
+		}
+	}
+}
+
 // TestRunFlagValidation: every out-of-range numeric flag is rejected up
 // front with an error that names the flag, before any simulation runs.
 func TestRunFlagValidation(t *testing.T) {

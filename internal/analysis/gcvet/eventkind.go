@@ -19,7 +19,7 @@ import (
 //   - emit("...", ...) calls whose kind argument is a raw literal;
 //   - journal Append/AppendAsync calls whose kind argument is a raw
 //     literal (the journal's event vocabulary is a registry too — a
-//     misspelled kind appends events no projection ever applies);
+//     misspelled kind appends events startup replay never applies);
 //   - comparisons of a .Kind field (== / != / switch) against a raw
 //     literal.
 var EventKind = &Analyzer{

@@ -3,7 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -247,14 +247,13 @@ func (b *breaker) quantileLocked(q float64) time.Duration {
 	if b.latN == 0 {
 		return 0
 	}
-	tmp := make([]time.Duration, b.latN)
-	copy(tmp, b.lat[:b.latN])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	sorted := b.lat // array copy: sorted on the stack, no allocation
+	slices.Sort(sorted[:b.latN])
 	i := int(q * float64(b.latN))
 	if i >= b.latN {
 		i = b.latN - 1
 	}
-	return tmp[i]
+	return sorted[i]
 }
 
 // hedgeDelay derives how long a forward to this peer may be in flight

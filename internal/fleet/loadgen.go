@@ -131,8 +131,8 @@ type ReplicaLoad struct {
 	BudgetExhausted  int64    `json:"budget_exhausted,omitempty"`
 	Quarantined      []string `json:"quarantined,omitempty"`
 
-	// Journal carries journal_depth, journal_batch_size_p50/p99, and
-	// per-projection projection_lag for event-sourced replicas.
+	// Journal carries last_seq, journal_depth, journal_batch_size_p50/p99,
+	// and the commit counters for event-sourced replicas.
 	Journal *service.JournalMetricsSnapshot `json:"journal,omitempty"`
 }
 

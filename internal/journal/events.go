@@ -1,9 +1,9 @@
 package journal
 
 // Event kind registry: the closed vocabulary of journal event kinds.
-// Projections switch on these strings and gcvet's eventkind analyzer
-// rejects inline literals in gated packages, so a typo cannot mint an
-// event no projection will ever apply.
+// Startup replay switches on these strings and gcvet's eventkind
+// analyzer rejects inline literals in gated packages, so a typo cannot
+// mint an event replay will never apply.
 const (
 	// KindRequest records a check request arriving at a handler.
 	KindRequest = "journal-request"

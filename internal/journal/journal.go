@@ -1,27 +1,22 @@
 // Package journal is the event-sourced request journal under checkd: an
 // append-only log of typed events on the snapshot store's SNP1 record
-// framing, written by a batched single-writer loop and consumed by
-// asynchronous projections.
+// framing, written live by a batched single-writer loop and read once,
+// at startup, to rebuild the state it implies.
 //
-// The design splits durability from derivation:
+// Concurrent appenders hand records to one writer goroutine that
+// coalesces them into group commits — one flush per batch, one ack per
+// record — so heavy write traffic pays one fsync-equivalent per batch
+// instead of one per request. The journal's owner changes its serving
+// state directly as requests happen and appends the matching event;
+// on restart it folds the surviving events into that same state before
+// it serves anything. Recovery is therefore replay, not reconstruction.
 //
-//   - the journal (this file + codec.go + backend.go) is the single
-//     durable source of truth. Concurrent appenders hand records to one
-//     writer goroutine that coalesces them into group commits — one
-//     flush per batch, one ack per record — so heavy write traffic pays
-//     one fsync-equivalent per batch instead of one per request;
-//   - projections (projection.go) are derived views: registered
-//     consumers replay the journal from their checkpoint and then
-//     follow live commits, each a stuttering refinement of the event
-//     history — replaying any prefix converges to the same observable
-//     state, so crash recovery is replay, not reconstruction.
-//
-// The paper's frame is what makes the split safe: correctness lives in
+// The paper's frame is what makes this safe: correctness lives in
 // convergence, not in fragile in-flight state. A torn tail, a corrupt
 // record, or a lost unflushed batch is a bounded perturbation — replay
 // resynchronizes past the damage (CRC + NextMagic), the sequence number
-// never regresses, and every projection converges to the state implied
-// by the surviving prefix.
+// never regresses, and the fold converges to the state implied by the
+// surviving prefix.
 package journal
 
 import (
@@ -115,18 +110,15 @@ type Journal struct {
 	mu      sync.Mutex
 	closed  bool
 	events  []Event // durable history, oldest first
-	hooks   []func(last uint64)
-	gate    func(next uint64) // optional admission gate (bounded projection lag)
 	batches batchHistogram
 
 	// Retention state (retention.go). covered/ckptAttempts are guarded
-	// by mu; pressure waits on them. retain/ckptReq are set before
-	// traffic. compactc carries compaction requests to the writer.
+	// by mu; pressure waits on them. ckptReq is set before traffic.
+	// compactc carries compaction requests to the writer.
 	covered      uint64
 	ckptAttempts uint64
 	pressureBase uint64 // ckptAttempts snapshot at backpressure escalation
 	pressure     *sync.Cond
-	retain       func() (uint64, bool)
 	ckptReq      func()
 	compactc     chan chan struct{}
 
@@ -276,26 +268,6 @@ func (j *Journal) Events(from uint64) []Event {
 	return out
 }
 
-// AddCommitHook registers fn to run after every group commit with the
-// new last sequence number. Hooks run on the writer goroutine and must
-// not block on the journal itself; the projection engine uses one to
-// wake its drivers.
-func (j *Journal) AddCommitHook(fn func(last uint64)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.hooks = append(j.hooks, fn)
-}
-
-// SetGate installs an admission gate the writer consults before each
-// group commit, passing the current last sequence number. The gate may
-// block (the projection engine bounds lag with it) but must return once
-// its condition clears or its owner closes.
-func (j *Journal) SetGate(gate func(last uint64)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.gate = gate
-}
-
 // writer is the single-writer group-commit loop: take one record, drain
 // whatever else is queued (up to MaxBatch), flush once, ack each.
 func (j *Journal) writer(stop chan struct{}) {
@@ -318,12 +290,6 @@ func (j *Journal) writer(stop chan struct{}) {
 			return
 		}
 		batch := j.collect(first)
-		j.mu.Lock()
-		gate := j.gate
-		j.mu.Unlock()
-		if gate != nil {
-			gate(j.lastSeq.Load())
-		}
 		j.pressureGate()
 		j.commit(batch)
 		j.checkBudget()
@@ -378,7 +344,6 @@ func (j *Journal) commit(batch []appendReq) {
 	j.mu.Lock()
 	j.events = append(j.events, events...)
 	j.batches.observe(len(batch))
-	hooks := j.hooks
 	j.mu.Unlock()
 	j.lastSeq.Store(last)
 	j.records.Add(int64(len(batch)))
@@ -387,9 +352,6 @@ func (j *Journal) commit(batch []appendReq) {
 		if r.ack != nil {
 			r.ack <- appendAck{seq: events[i].Seq}
 		}
-	}
-	for _, fn := range hooks {
-		fn(last)
 	}
 }
 

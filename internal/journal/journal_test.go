@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster/store"
 )
@@ -315,184 +314,6 @@ func TestTornBackendModelsHardKill(t *testing.T) {
 	if st := j2.ReplayStats(); st.Events != 2 || st.Corrupt == 0 {
 		t.Fatalf("replay stats %+v, want 2 events and a corrupt tail", st)
 	}
-}
-
-// countProjection counts events per kind; Apply is idempotent per seq
-// by construction (seq strictly advances before state mutates).
-type countProjection struct {
-	name string
-	mu   sync.Mutex
-	seq  uint64
-	n    map[string]int
-	hold chan struct{} // non-nil: Apply blocks until closed
-	slow time.Duration // per-event apply delay
-}
-
-func newCountProjection(name string) *countProjection {
-	return &countProjection{name: name, n: make(map[string]int)}
-}
-
-func (c *countProjection) Name() string { return c.name }
-
-func (c *countProjection) Seq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-func (c *countProjection) Apply(ev Event) {
-	if c.hold != nil {
-		<-c.hold
-	}
-	if c.slow > 0 {
-		time.Sleep(c.slow)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ev.Seq <= c.seq {
-		return // stuttering: already reflected
-	}
-	c.seq = ev.Seq
-	c.n[ev.Kind]++
-}
-
-func (c *countProjection) count(kind string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n[kind]
-}
-
-func TestEngineDrivesProjectionsToConvergence(t *testing.T) {
-	j, err := Open(NewMemBackend(nil), Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer j.Close()
-	e := NewEngine(j, 0)
-	defer e.Close()
-	p := newCountProjection("counts")
-	e.Register(p)
-
-	const n = 50
-	for i := 0; i < n; i++ {
-		mustAppend(t, j, KindRequest, `{}`)
-	}
-	if !e.WaitCaughtUp(5 * time.Second) {
-		t.Fatalf("projections did not converge; lags %v", e.Lags())
-	}
-	if got := p.count(KindRequest); got != n {
-		t.Fatalf("projection counted %d, want %d", got, n)
-	}
-	if lags := e.Lags(); lags["counts"] != 0 {
-		t.Fatalf("lag after convergence = %v", lags)
-	}
-}
-
-func TestEngineReplaysFromCheckpoint(t *testing.T) {
-	b := NewMemBackend(nil)
-	j, err := Open(b, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		mustAppend(t, j, KindVerdict, `{}`)
-	}
-	j.Close()
-
-	j2, err := Open(b, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer j2.Close()
-	e := NewEngine(j2, 0)
-	defer e.Close()
-	p := newCountProjection("ckpt")
-	p.seq = 6 // restored checkpoint: events 1–6 already reflected
-	e.Register(p)
-	if !e.WaitCaughtUp(5 * time.Second) {
-		t.Fatalf("no convergence; lags %v", e.Lags())
-	}
-	if got := p.count(KindVerdict); got != 4 {
-		t.Fatalf("checkpointed projection applied %d events, want 4", got)
-	}
-}
-
-func TestEngineBoundsProjectionLag(t *testing.T) {
-	j, err := Open(NewMemBackend(nil), Options{MaxBatch: 1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer j.Close()
-	const maxLag = 4
-	e := NewEngine(j, maxLag)
-	p := newCountProjection("slow")
-	p.hold = make(chan struct{})
-	e.Register(p)
-
-	// The first maxLag commits pass the gate; the one after blocks.
-	acked := make(chan uint64, maxLag+2)
-	go func() {
-		for i := 0; i < maxLag+2; i++ {
-			seq, err := j.Append(KindRequest, []byte(`{}`))
-			if err != nil {
-				return
-			}
-			acked <- seq
-		}
-	}()
-	for i := 0; i < maxLag; i++ {
-		select {
-		case <-acked:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("append %d did not complete under the lag bound", i)
-		}
-	}
-	select {
-	case seq := <-acked:
-		t.Fatalf("append seq %d completed past the lag bound with a wedged projection", seq)
-	case <-time.After(100 * time.Millisecond):
-		// blocked, as designed
-	}
-
-	close(p.hold) // projection drains; gate reopens
-	for i := 0; i < 2; i++ {
-		select {
-		case <-acked:
-		case <-time.After(5 * time.Second):
-			t.Fatal("append still blocked after projection caught up")
-		}
-	}
-	e.Close()
-}
-
-func TestEngineCloseReleasesGatedWriter(t *testing.T) {
-	j, err := Open(NewMemBackend(nil), Options{MaxBatch: 1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	e := NewEngine(j, 1)
-	p := newCountProjection("slow")
-	p.slow = 20 * time.Millisecond
-	e.Register(p)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			j.Append(KindRequest, []byte(`{}`)) //nolint:errcheck
-		}
-	}()
-	// Close the engine while the writer is pacing behind the slow
-	// projection's lag bound: the closed gate must admit everything so
-	// the remaining appends (and journal Close) cannot deadlock.
-	time.Sleep(30 * time.Millisecond)
-	e.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("writer stayed wedged after engine close")
-	}
-	j.Close()
 }
 
 func TestBatchHistogramPercentiles(t *testing.T) {

@@ -7,14 +7,15 @@ import (
 // Retention: checkpoint-anchored compaction plus a disk budget with an
 // explicit degradation ladder.
 //
-// Compaction drops the journal prefix that is both (a) covered by a
-// durable checkpoint outside the journal — the owner asserts this with
-// SetCovered after a cache snapshot lands on disk — and (b) at or below
-// every live projection's applied checkpoint, so no consumer still
-// needs those events for replay. The surviving suffix is rewritten to
-// the backend in one atomic Replace (write temp + fsync + rename +
-// fsync dir for FileBackend), so a kill at any instant leaves either
-// the old or the new journal, both fully replayable.
+// Compaction drops the journal prefix covered by a durable checkpoint
+// outside the journal — the owner asserts this with SetCovered after a
+// cache snapshot lands on disk. Nothing reads the journal after startup
+// except time travel and the fleet's suffix pulls, which detect the
+// horizon themselves, so coverage alone decides what may go. The
+// surviving suffix is rewritten to the backend in one atomic Replace
+// (write temp + fsync + rename + fsync dir for FileBackend), so a kill
+// at any instant leaves either the old or the new journal, both fully
+// replayable.
 //
 // The budget (Options.MaxBytes) degrades in explicit, observable rungs
 // when the journal outgrows it:
@@ -23,8 +24,7 @@ import (
 //  2. backpressure — compaction could not reclaim (coverage is stale),
 //     so request a checkpoint from the owner and hold the writer before
 //     its next commit until a checkpoint attempt completes. Appenders
-//     feel this through the bounded queue, exactly like the projection
-//     lag gate.
+//     feel this through the bounded queue.
 //  3. shed — the checkpoint attempt didn't reclaim either (disk full,
 //     snapshot failing). Fire-and-forget appends (AppendAsync) are
 //     refused with ErrShed and counted; durable Append keeps its
@@ -156,16 +156,6 @@ func (j *Journal) SetCovered(seq uint64) {
 	j.pokeCompaction()
 }
 
-// SetRetainFunc installs the projection floor: compaction never drops
-// above the returned sequence (the projection engine's minimum applied
-// checkpoint), because live projections replay from the in-memory
-// history. ok=false means no floor. Install before traffic.
-func (j *Journal) SetRetainFunc(fn func() (uint64, bool)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.retain = fn
-}
-
 // SetCheckpointRequest installs the owner's checkpoint trigger, called
 // by the writer (non-blocking, coalesced by the owner) when compaction
 // alone cannot reclaim the budget. Install before traffic.
@@ -224,32 +214,21 @@ func (j *Journal) ReplayTo(seq uint64) ([]Event, error) {
 }
 
 // retentionHorizon computes the highest droppable sequence number:
-// everything covered externally, not still needed by a projection, and
-// strictly below the last event — the journal always keeps its newest
-// event so a restart resumes the sequence numbering instead of
-// restarting at zero underneath the projections' checkpoints.
+// everything covered externally, strictly below the last event — the
+// journal always keeps its newest event so a restart resumes the
+// sequence numbering instead of restarting at zero underneath the
+// cache snapshot's checkpoint.
 func (j *Journal) retentionHorizon() uint64 {
 	j.mu.Lock()
-	target := j.covered
-	retain := j.retain
+	defer j.mu.Unlock()
 	n := len(j.events)
-	var newest uint64
-	if n > 0 {
-		newest = j.events[n-1].Seq
-	}
-	j.mu.Unlock()
-	if retain != nil {
-		if floor, ok := retain(); ok && floor < target {
-			target = floor
-		}
-	}
 	if n == 0 {
 		return 0
 	}
-	if target >= newest {
-		target = newest - 1
+	if newest := j.events[n-1].Seq; j.covered >= newest {
+		return newest - 1
 	}
-	return target
+	return j.covered
 }
 
 // runCompaction rewrites the backend to the suffix above the retention

@@ -84,20 +84,6 @@ func TestCompactionKeepsNewestEvent(t *testing.T) {
 	}
 }
 
-func TestCompactionHonorsRetainFloor(t *testing.T) {
-	j, err := Open(NewMemBackend(nil), Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer j.Close()
-	fillJournal(t, j, 10)
-	j.SetRetainFunc(func() (uint64, bool) { return 3, true })
-	j.SetCovered(9)
-	if st := j.Compact(); st.HorizonSeq != 3 {
-		t.Fatalf("horizon = %d, want 3 (projection floor wins)", st.HorizonSeq)
-	}
-}
-
 func TestFileBackendCompactionSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.snp")
 	fb, err := OpenFile(path)
@@ -273,11 +259,12 @@ func TestBudgetHoldsWithPromptCoverage(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer j.Close()
-	// Simulate an eager snapshotter: every commit is immediately covered.
-	j.AddCommitHook(func(last uint64) { j.SetCovered(last) })
+	// Simulate an eager snapshotter: every commit is covered as soon as
+	// its durable append returns.
 	var maxUsage int64
 	for i := 0; i < 400; i++ {
-		mustAppend(t, j, KindVerdict, fmt.Sprintf(`{"i":%d}`, i))
+		seq := mustAppend(t, j, KindVerdict, fmt.Sprintf(`{"i":%d}`, i))
+		j.SetCovered(seq)
 		if u := j.Usage(); u > maxUsage {
 			maxUsage = u
 		}

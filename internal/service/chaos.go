@@ -154,18 +154,9 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var proto sim.Protocol
-	switch req.Family {
-	case "dijkstra3":
-		proto = sim.NewDijkstra3(req.Procs)
-	case "dijkstra4":
-		proto = sim.NewDijkstra4(req.Procs)
-	case "kstate":
-		proto = sim.NewKState(req.Procs, req.K)
-	case "newthree":
-		proto = sim.NewNewThree(req.Procs)
-	default:
-		s.writeComputeError(w, badRequest("unknown family %q (want dijkstra3 | dijkstra4 | kstate | newthree)", req.Family))
+	proto, err := sim.NewProtocol(req.Family, req.Procs, req.K)
+	if err != nil {
+		s.writeComputeError(w, badRequest("%v", err))
 		return
 	}
 	kinds := make([]cluster.FaultKind, len(req.Kinds))
@@ -216,9 +207,8 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		// The campaign ran to completion: journal its summary (the
-		// campaign projection aggregates it) even if the response
-		// itself misses its deadline.
+		// The campaign ran to completion: count and journal its
+		// summary even if the response itself misses its deadline.
 		s.recordCampaign(rep)
 		return ChaosResponse{
 			Report:    *rep,

@@ -433,18 +433,9 @@ func (s *Server) handleRingsim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var proto sim.Protocol
-	switch req.Family {
-	case "dijkstra3":
-		proto = sim.NewDijkstra3(req.Procs)
-	case "dijkstra4":
-		proto = sim.NewDijkstra4(req.Procs)
-	case "kstate":
-		proto = sim.NewKState(req.Procs, req.K)
-	case "newthree":
-		proto = sim.NewNewThree(req.Procs)
-	default:
-		s.writeComputeError(w, badRequest("unknown family %q (want dijkstra3 | dijkstra4 | kstate | newthree)", req.Family))
+	proto, err := sim.NewProtocol(req.Family, req.Procs, req.K)
+	if err != nil {
+		s.writeComputeError(w, badRequest("%v", err))
 		return
 	}
 	mkDaemon := func(run int) sim.Daemon {

@@ -134,3 +134,33 @@ func TestPoolPanicBackstop(t *testing.T) {
 		t.Fatalf("panic counter = %d, want 1", p.panics.Load())
 	}
 }
+
+// TestServiceProtocolParamsAreBadRequests: every endpoint that builds a
+// simulator protocol from a family name answers a kstate counter
+// modulus below 2, or an unknown family, with 400 rather than a panic's
+// 500.
+func TestServiceProtocolParamsAreBadRequests(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	for _, path := range []string{"/v1/ringsim", "/v1/cluster", "/v1/chaos"} {
+		for _, tc := range []struct {
+			name string
+			body map[string]any
+			want string
+		}{
+			{"kstate k=1", map[string]any{"family": "kstate", "procs": 5, "k": 1}, "k ≥ 2"},
+			{"unknown family", map[string]any{"family": "nope", "procs": 5}, "unknown family"},
+		} {
+			resp, body := postJSON(t, ts.URL+path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400: %s", path, tc.name, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), tc.want) {
+				t.Errorf("%s %s: body %s does not mention %q", path, tc.name, body, tc.want)
+			}
+		}
+	}
+}

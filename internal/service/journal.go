@@ -7,35 +7,28 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster/chaos"
 	"repro/internal/journal"
-	"repro/internal/service/cache"
 )
 
 // Event sourcing: when Config.JournalPath or Config.JournalBackend is
-// set, the journal becomes checkd's single durable source of truth.
-// Handlers stop mutating the verdict cache and /metrics counters
-// directly; instead every request arrival, outcome, computed verdict,
-// and chaos campaign is appended as a typed event, and three
-// projections — cache, metrics, campaigns — derive the serving state by
-// replaying the event history. Startup becomes replay: open the
-// journal, drive the projections to convergence, then report ready.
+// set, every request arrival, outcome, computed verdict, and chaos
+// campaign is also appended to an append-only journal as a typed event.
+// The handlers change the verdict cache, /metrics counters, and
+// campaign summary directly either way; the journal is written live and
+// read once, in New, which folds the surviving events into that same
+// state before the server handles its first request. A journaled and a
+// journal-less server differ only by "append, and replay at boot".
 //
-// The refinement invariant: each projection's Apply is idempotent per
-// sequence number, so replaying any prefix (snapshot checkpoint + tail,
-// or the whole journal) converges to the same observable state. A crash
-// can lose at most the acknowledged-but-unflushed suffix of one group
-// commit — and verdict events are appended durably *before* the HTTP
-// response is written, so a verdict a client saw is a verdict replay
-// reconstructs.
-//
-// Without a journal configured, the record* seam degrades to the direct
-// counter/cache mutations checkd has always done; every journal append
-// failure degrades the same way, so a full disk costs event history,
-// never a request.
+// The replay invariant: folding any surviving prefix of the history
+// converges to the state that prefix implies. A crash can lose at most
+// the acknowledged-but-unflushed suffix of one group commit — and
+// verdict events are appended durably *before* the HTTP response is
+// written, so a verdict a client saw is a verdict replay reconstructs.
+// An append failure (full disk, closed journal) costs event history,
+// never a request and never a live counter.
 
 // Outcome statuses, mirroring the /metrics response counters.
 const (
@@ -74,18 +67,11 @@ type campaignEvent struct {
 // cache snapshot file and anti-entropy sync already use, so the three
 // durability paths share one codec and one strictness policy.
 
-// serverJournal bundles the journal, its projection engine, and the
-// projections deriving this server's state.
+// serverJournal bundles the journal with its retention machinery.
 type serverJournal struct {
-	j      *journal.Journal
-	engine *journal.Engine
-	file   *journal.FileBackend // non-nil when opened from JournalPath
+	j    *journal.Journal
+	file *journal.FileBackend // non-nil when opened from JournalPath
 
-	cacheProj   *cacheProjection
-	metricsProj *metricsProjection
-	campProj    *campaignProjection
-
-	ready atomic.Bool // projections converged on the replayed history
 	// ckptPoke wakes the retention checkpoint loop ahead of its ticker —
 	// the journal sends here (non-blocking) when it wants coverage to
 	// advance because the disk budget is under pressure.
@@ -95,13 +81,9 @@ type serverJournal struct {
 	closeOne sync.Once
 }
 
-// journalReplayPoll is how often the readiness waiter re-checks
-// convergence while replaying.
-const journalReplayPoll = 2 * time.Second
-
-// newServerJournal opens the journal and starts the projections. It
-// never fails the server: an unopenable journal logs and returns nil,
-// degrading to direct bookkeeping.
+// newServerJournal opens the journal and folds its events into s's
+// cache and counters. It never fails the server: an unopenable journal
+// logs and returns nil, degrading to a journal-less server.
 func newServerJournal(s *Server, cfg Config) *serverJournal {
 	b := cfg.JournalBackend
 	var file *journal.FileBackend
@@ -128,20 +110,19 @@ func newServerJournal(s *Server, cfg Config) *serverJournal {
 	}
 	sj := &serverJournal{j: j, file: file,
 		ckptPoke: make(chan struct{}, 1), stop: make(chan struct{})}
-	sj.engine = journal.NewEngine(j, cfg.JournalMaxLag)
-	// Projections are a retention floor: compaction never drops an event
-	// the slowest projection has not applied, even under disk pressure.
-	j.SetRetainFunc(sj.engine.MinSeq)
-
-	// The cache projection resumes from the snapshot file's checkpoint:
-	// the persister already materialized the cache up to that sequence
-	// number, so replay covers only the tail. Metrics and campaigns are
-	// memory-only and always replay the full history — with a journal,
-	// /metrics counters are journal-lifetime, not process-lifetime.
-	sj.cacheProj = &cacheProjection{c: s.cache}
+	if st := j.ReplayStats(); st.Events > 0 || st.Corrupt > 0 {
+		s.logf("journal: replayed %d events (corrupt %d, stale %d, resyncs %d) from %d bytes",
+			st.Events, st.Corrupt, st.Stale, st.Resyncs, st.Bytes)
+	}
+	s.replay(j.Events(1))
 	if s.persister != nil {
-		sj.cacheProj.seq.Store(s.persister.loadedCheckpoint.Load())
-		s.persister.setJournalSeq(sj.cacheProj.Seq)
+		// From here on a snapshot records the journal head, read before
+		// it copies the cache: recordVerdict puts a verdict before it
+		// appends it, so every verdict committed at or below that head
+		// is already in the copy. Until now, mid-replay, a snapshot kept
+		// the loaded checkpoint, since the fold had not yet put the
+		// verdicts above it.
+		s.persister.setJournalSeq(j.LastSeq)
 	}
 	if cfg.JournalMaxBytes > 0 {
 		if s.persister != nil {
@@ -164,27 +145,47 @@ func newServerJournal(s *Server, cfg Config) *serverJournal {
 				"the budget can only shed async events, never compact")
 		}
 	}
-	sj.metricsProj = &metricsProjection{m: s.metrics}
-	sj.campProj = &campaignProjection{}
-	sj.engine.Register(sj.cacheProj)
-	sj.engine.Register(sj.metricsProj)
-	sj.engine.Register(sj.campProj)
+	return sj
+}
 
-	if st := j.ReplayStats(); st.Events > 0 || st.Corrupt > 0 {
-		s.logf("journal: replayed %d events (corrupt %d, stale %d, resyncs %d) from %d bytes",
-			st.Events, st.Corrupt, st.Stale, st.Resyncs, st.Bytes)
+// replay folds journaled events into the server's state through the
+// same mutations the live recorders make. Verdicts at or below the
+// cache snapshot's checkpoint are already in the cache; the rest are
+// decoded as strictly as a snapshot load. Metrics and campaigns are
+// memory-only and always fold the full history, so with a journal
+// /metrics counters are journal-lifetime, not process-lifetime.
+func (s *Server) replay(evs []journal.Event) {
+	var ckpt uint64
+	if s.persister != nil {
+		ckpt = s.persister.loadedCheckpoint.Load()
 	}
-	go func() {
-		for !sj.engine.WaitCaughtUp(journalReplayPoll) {
-			select {
-			case <-sj.stop:
-				return
-			default:
+	for _, ev := range evs {
+		switch ev.Kind {
+		case journal.KindVerdict:
+			var pe persistedEntry
+			if ev.Seq <= ckpt || json.Unmarshal(ev.Data, &pe) != nil || pe.Key == "" {
+				continue
+			}
+			if val, err := decodeCachedValue(pe.Kind, pe.Value); err == nil {
+				s.cache.Put(pe.Key, val)
+			}
+		case journal.KindRequest:
+			var re requestEvent
+			if json.Unmarshal(ev.Data, &re) == nil {
+				s.metrics.applyRequest(re.Kind)
+			}
+		case journal.KindOutcome:
+			var oe outcomeEvent
+			if json.Unmarshal(ev.Data, &oe) == nil {
+				s.metrics.applyOutcome(oe)
+			}
+		case journal.KindCampaign:
+			var ce campaignEvent
+			if json.Unmarshal(ev.Data, &ce) == nil {
+				s.metrics.applyCampaign(ce)
 			}
 		}
-		sj.ready.Store(true)
-	}()
-	return sj
+	}
 }
 
 // checkpointLoop is the retention side of cache persistence: on a
@@ -213,13 +214,12 @@ func (sj *serverJournal) checkpointLoop(p *cachePersister, interval time.Duratio
 	}
 }
 
-// close drains the projections, then the journal, then the file.
-// Engine first: its final catch-up needs the journal still readable.
+// close stops the checkpoint loop, then drains the journal's writer,
+// then closes the file.
 func (sj *serverJournal) close() {
 	sj.closeOne.Do(func() {
 		close(sj.stop)
 		sj.wg.Wait()
-		sj.engine.Close()
 		sj.j.Close()
 		if sj.file != nil {
 			sj.file.Close()
@@ -227,94 +227,12 @@ func (sj *serverJournal) close() {
 	})
 }
 
-// cacheProjection derives the verdict cache from KindVerdict events.
-type cacheProjection struct {
-	c   *cache.Cache
-	seq atomic.Uint64
-}
-
-func (p *cacheProjection) Name() string { return "cache" }
-func (p *cacheProjection) Seq() uint64  { return p.seq.Load() }
-
-func (p *cacheProjection) Apply(ev journal.Event) {
-	if ev.Kind == journal.KindVerdict {
-		var pe persistedEntry
-		if json.Unmarshal(ev.Data, &pe) == nil && pe.Key != "" {
-			if val, err := decodeCachedValue(pe.Kind, pe.Value); err == nil {
-				// Re-putting a live-path entry is the stutter the
-				// refinement invariant allows: same key, same value.
-				p.c.Put(pe.Key, val)
-			}
-		}
-	}
-	p.seq.Store(ev.Seq)
-}
-
-// metricsProjection derives the request and response counters (and the
-// latency histograms) from KindRequest/KindOutcome events.
-type metricsProjection struct {
-	m   *metrics
-	seq atomic.Uint64
-}
-
-func (p *metricsProjection) Name() string { return "metrics" }
-func (p *metricsProjection) Seq() uint64  { return p.seq.Load() }
-
-func (p *metricsProjection) Apply(ev journal.Event) {
-	switch ev.Kind {
-	case journal.KindRequest:
-		var re requestEvent
-		if json.Unmarshal(ev.Data, &re) == nil {
-			if c, ok := p.m.requests[re.Kind]; ok {
-				c.Add(1)
-			}
-		}
-	case journal.KindOutcome:
-		var oe outcomeEvent
-		if json.Unmarshal(ev.Data, &oe) == nil {
-			p.m.applyOutcome(oe)
-		}
-	}
-	p.seq.Store(ev.Seq)
-}
-
-// campaignProjection aggregates chaos campaign summaries.
-type campaignProjection struct {
-	campaigns atomic.Int64
-	episodes  atomic.Int64
-	passed    atomic.Int64
-	failed    atomic.Int64
-	seq       atomic.Uint64
-}
-
-func (p *campaignProjection) Name() string { return "campaigns" }
-func (p *campaignProjection) Seq() uint64  { return p.seq.Load() }
-
-func (p *campaignProjection) Apply(ev journal.Event) {
-	if ev.Kind == journal.KindCampaign {
-		var ce campaignEvent
-		if json.Unmarshal(ev.Data, &ce) == nil {
-			p.campaigns.Add(1)
-			p.episodes.Add(int64(ce.Episodes))
-			p.passed.Add(int64(ce.Passed))
-			p.failed.Add(int64(ce.Failed))
-		}
-	}
-	p.seq.Store(ev.Seq)
-}
-
-// recordRequest counts one request arrival: as a journal event when the
-// journal is up (the metrics projection applies it), directly otherwise.
+// recordRequest counts one request arrival and, when the journal is up,
+// appends it as an event.
 func (s *Server) recordRequest(kind string) {
+	s.metrics.applyRequest(kind)
 	if s.journal != nil {
-		if data, err := json.Marshal(requestEvent{Kind: kind}); err == nil {
-			if s.journal.j.AppendAsync(journal.KindRequest, data) == nil {
-				return
-			}
-		}
-	}
-	if c, ok := s.metrics.requests[kind]; ok {
-		c.Add(1)
+		s.journal.appendAsync(journal.KindRequest, requestEvent{Kind: kind})
 	}
 }
 
@@ -323,23 +241,19 @@ func (s *Server) recordRequest(kind string) {
 func (s *Server) recordOutcome(status, kind string, elapsed time.Duration, observeLatency bool) {
 	oe := outcomeEvent{Status: status, Kind: kind,
 		ElapsedUS: elapsed.Microseconds(), Latency: observeLatency}
-	if s.journal != nil {
-		if data, err := json.Marshal(oe); err == nil {
-			if s.journal.j.AppendAsync(journal.KindOutcome, data) == nil {
-				return
-			}
-		}
-	}
 	s.metrics.applyOutcome(oe)
+	if s.journal != nil {
+		s.journal.appendAsync(journal.KindOutcome, oe)
+	}
 }
 
-// recordVerdict stores one computed verdict: synchronously in the cache
-// (the live fast path — the projection's replay re-put is idempotent)
-// and, when the journal is up, as a durable event appended *before* the
-// caller writes the HTTP response. When recordVerdict returns, a
-// verdict the client is about to see is either in the journal or the
-// journal is down and the entry lives only in memory — the pre-journal
-// behavior.
+// recordVerdict stores one computed verdict in the cache and, when the
+// journal is up, appends it as a durable event *before* the caller
+// writes the HTTP response. When recordVerdict returns, a verdict the
+// client is about to see is either in the journal or the journal is
+// down and the entry lives only in memory — the pre-journal behavior.
+// The cache put comes first: a snapshot relies on every verdict at or
+// below the journal head already being in the cache.
 func (s *Server) recordVerdict(kind, key string, val any) {
 	s.cache.Put(key, val)
 	if s.journal == nil {
@@ -360,21 +274,28 @@ func (s *Server) recordVerdict(kind, key string, val any) {
 	_, _ = s.journal.j.Append(journal.KindVerdict, data) // error degrades to cache-only
 }
 
-// recordCampaign journals one completed chaos campaign summary.
+// recordCampaign counts one completed chaos campaign and, when the
+// journal is up, appends its summary as an event.
 func (s *Server) recordCampaign(rep *chaos.Report) {
-	if s.journal == nil {
-		return
+	ce := campaignEvent{Protocol: rep.Protocol, Episodes: rep.Episodes,
+		Passed: rep.Passed, Failed: rep.Failed}
+	s.metrics.applyCampaign(ce)
+	if s.journal != nil {
+		s.journal.appendAsync(journal.KindCampaign, ce)
 	}
-	data, err := json.Marshal(campaignEvent{
-		Protocol: rep.Protocol, Episodes: rep.Episodes,
-		Passed: rep.Passed, Failed: rep.Failed})
-	if err != nil {
-		return
-	}
-	_ = s.journal.j.AppendAsync(journal.KindCampaign, data)
 }
 
-// CampaignSummary is the /metrics view of the campaign projection.
+// appendAsync journals one bookkeeping event without waiting for its
+// group commit. A failure loses only the event: the caller has already
+// changed the live state it records. Callers check for a nil journal
+// first, so a journal-less server never boxes the payload.
+func (sj *serverJournal) appendAsync(kind string, payload any) {
+	if data, err := json.Marshal(payload); err == nil {
+		_ = sj.j.AppendAsync(kind, data)
+	}
+}
+
+// CampaignSummary is the /metrics view of the campaign counters.
 type CampaignSummary struct {
 	Campaigns int64 `json:"campaigns"`
 	Episodes  int64 `json:"episodes"`
@@ -384,17 +305,15 @@ type CampaignSummary struct {
 
 // JournalMetricsSnapshot is the /metrics journal section.
 type JournalMetricsSnapshot struct {
-	LastSeq       uint64            `json:"last_seq"`
-	Depth         int64             `json:"journal_depth"`
-	BatchP50      float64           `json:"journal_batch_size_p50"`
-	BatchP99      float64           `json:"journal_batch_size_p99"`
-	Records       int64             `json:"records"`
-	Commits       int64             `json:"commits"`
-	AppendErrors  int64             `json:"append_errors"`
-	Ready         bool              `json:"ready"`
-	Replay        journal.Stats     `json:"replay"`
-	ProjectionLag map[string]uint64 `json:"projection_lag"`
-	Campaigns     CampaignSummary   `json:"campaigns"`
+	LastSeq      uint64          `json:"last_seq"`
+	Depth        int64           `json:"journal_depth"`
+	BatchP50     float64         `json:"journal_batch_size_p50"`
+	BatchP99     float64         `json:"journal_batch_size_p99"`
+	Records      int64           `json:"records"`
+	Commits      int64           `json:"commits"`
+	AppendErrors int64           `json:"append_errors"`
+	Replay       journal.Stats   `json:"replay"`
+	Campaigns    CampaignSummary `json:"campaigns"`
 	// Retention is present when a disk budget is configured
 	// (Config.JournalMaxBytes > 0): usage against the budget, the
 	// compaction horizon, and the degradation-ladder counters, including
@@ -638,23 +557,22 @@ func (s *Server) ApplyJournalSuffix(b []byte) (loaded, skipped int64) {
 	return loaded, skipped
 }
 
-func (sj *serverJournal) metricsSnapshot() *JournalMetricsSnapshot {
+func (s *Server) journalMetricsSnapshot() *JournalMetricsSnapshot {
+	j := s.journal.j
 	snap := &JournalMetricsSnapshot{
-		LastSeq: sj.j.LastSeq(),
-		Depth:   sj.j.Depth(),
-		Ready:   sj.ready.Load(),
-		Replay:  sj.j.ReplayStats(),
+		LastSeq: j.LastSeq(),
+		Depth:   j.Depth(),
+		Replay:  j.ReplayStats(),
 		Campaigns: CampaignSummary{
-			Campaigns: sj.campProj.campaigns.Load(),
-			Episodes:  sj.campProj.episodes.Load(),
-			Passed:    sj.campProj.passed.Load(),
-			Failed:    sj.campProj.failed.Load(),
+			Campaigns: s.metrics.campaigns.Load(),
+			Episodes:  s.metrics.episodes.Load(),
+			Passed:    s.metrics.passed.Load(),
+			Failed:    s.metrics.failed.Load(),
 		},
 	}
-	snap.BatchP50, snap.BatchP99 = sj.j.BatchPercentiles()
-	snap.Records, snap.Commits, snap.AppendErrors = sj.j.Counters()
-	snap.ProjectionLag = sj.engine.Lags()
-	if ret := sj.j.Retention(); ret.MaxBytes > 0 {
+	snap.BatchP50, snap.BatchP99 = j.BatchPercentiles()
+	snap.Records, snap.Commits, snap.AppendErrors = j.Counters()
+	if ret := j.Retention(); ret.MaxBytes > 0 {
 		snap.Retention = &ret
 	}
 	return snap

@@ -53,14 +53,10 @@ func ringsimKey(seed int64) string {
 		"3", "3", fmt.Sprint(seed), "1", "2000", "2")
 }
 
+// waitJournalIdle waits until every accepted async event is flushed.
 func waitJournalIdle(t *testing.T, svc *Server) {
 	t.Helper()
-	// Converged = every async event flushed and applied: depth drained
-	// and all projections at the journal head.
 	waitFor(t, func() bool { return svc.journal.j.Depth() == 0 })
-	if !svc.journal.engine.WaitCaughtUp(10 * time.Second) {
-		t.Fatalf("projections never converged; lags %v", svc.journal.engine.Lags())
-	}
 }
 
 // TestServiceJournalReplayRestoresState: a journaled server's verdict
@@ -87,7 +83,6 @@ func TestServiceJournalReplayRestoresState(t *testing.T) {
 	defer svc2.Close()
 	ts2 := httptest.NewServer(svc2)
 	defer ts2.Close()
-	waitFor(t, func() bool { return svc2.journal.ready.Load() })
 	if st := svc2.journal.j.ReplayStats(); st.Events == 0 {
 		t.Fatalf("restart replayed nothing: %+v", st)
 	}
@@ -112,32 +107,6 @@ func TestServiceJournalReplayRestoresState(t *testing.T) {
 		if !rr.Cached {
 			t.Fatalf("seed %d not served from replayed cache: %s", seed, body)
 		}
-	}
-}
-
-// TestServiceJournalReadyzGating: while projections replay, /readyz
-// reports 503 "replaying"; once converged it flips ready.
-func TestServiceJournalReadyzGating(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4,
-		JournalBackend: journal.NewMemBackend(nil)})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	waitFor(t, func() bool { return svc.journal.ready.Load() })
-
-	// White-box: force the pre-convergence state to pin the 503 shape.
-	svc.journal.ready.Store(false)
-	resp, body := getJSON(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("replaying readyz = %d: %s", resp.StatusCode, body)
-	}
-	if want := `"status":"replaying"`; !containsStr(body, want) {
-		t.Fatalf("readyz body %s missing %s", body, want)
-	}
-	svc.journal.ready.Store(true)
-	resp, body = getJSON(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ready readyz = %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -189,13 +158,12 @@ func TestServiceCrashReplayEquivalence(t *testing.T) {
 	waitJournalIdle(t, ref)
 	golden := fetchMetrics(t, tsRef.URL)
 
-	// Restart on the surviving bytes and let the projections converge.
+	// Restart on the surviving bytes: New replays them before returning.
 	restarted := New(Config{Workers: 2, QueueDepth: 16,
 		JournalBackend: journal.NewMemBackend(surviving), JournalMaxBatch: maxBatch})
 	defer restarted.Close()
 	tsRe := httptest.NewServer(restarted)
 	defer tsRe.Close()
-	waitFor(t, func() bool { return restarted.journal.ready.Load() })
 	replayed := fetchMetrics(t, tsRe.URL)
 
 	// The acked-but-unflushed suffix: the torn batch (≤ maxBatch
@@ -254,7 +222,7 @@ func TestServiceCrashReplayEquivalence(t *testing.T) {
 }
 
 // TestServiceJournalMetricsGauges: the /metrics journal section carries
-// the depth, batch-size percentiles, and per-projection lag gauges.
+// the head, depth, batch-size percentiles, and commit counters.
 func TestServiceJournalMetricsGauges(t *testing.T) {
 	svc := New(Config{Workers: 2, QueueDepth: 16,
 		JournalBackend: journal.NewMemBackend(nil)})
@@ -280,22 +248,42 @@ func TestServiceJournalMetricsGauges(t *testing.T) {
 	if j.BatchP50 < 1 || j.BatchP99 < j.BatchP50 {
 		t.Fatalf("batch percentiles p50=%v p99=%v", j.BatchP50, j.BatchP99)
 	}
-	for _, proj := range []string{"cache", "metrics", "campaigns"} {
-		lag, ok := j.ProjectionLag[proj]
-		if !ok {
-			t.Fatalf("projection_lag missing %q: %+v", proj, j.ProjectionLag)
+}
+
+// TestServiceJournalCountsLive: a journaled server counts a request and
+// its outcome before the response returns, exactly like a journal-less
+// one — /metrics needs no wait for the journal.
+func TestServiceJournalCountsLive(t *testing.T) {
+	svc := New(Config{Workers: 2, QueueDepth: 16,
+		JournalBackend: journal.NewMemBackend(nil)})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	for i := int64(1); i <= 2; i++ { // a computed verdict, then a hit
+		resp, body := postJSON(t, ts.URL+"/v1/ringsim", ringsimBody(3))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ringsim: %d: %s", resp.StatusCode, body)
 		}
-		if lag != 0 {
-			t.Fatalf("projection %q lag = %d after convergence", proj, lag)
+		snap := fetchMetrics(t, ts.URL)
+		if snap.Requests[kindRingsim] != i || snap.Responses.OK != i {
+			t.Fatalf("after request %d: requests.ringsim = %d, responses.ok = %d",
+				i, snap.Requests[kindRingsim], snap.Responses.OK)
+		}
+		if got := snap.Latency[kindRingsim].Count; got != 1 {
+			t.Fatalf("after request %d: latency count = %d, want 1 (computed checks only)", i, got)
 		}
 	}
-	if !j.Ready {
-		t.Fatal("journal section not ready after convergence")
+	resp, body := postJSON(t, ts.URL+"/v1/ringsim", map[string]any{"family": "nope", "procs": 3})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown family: %d: %s", resp.StatusCode, body)
+	}
+	if snap := fetchMetrics(t, ts.URL); snap.Responses.BadRequest != 1 {
+		t.Fatalf("responses.bad_request = %d, want 1", snap.Responses.BadRequest)
 	}
 }
 
 // TestServiceJournalCheckpointSnapshot: with both a cache snapshot file
-// and a journal, the snapshot records the cache projection's journal
+// and a journal, the shutdown snapshot records the journal head as its
 // checkpoint, and a restart resumes replay from it instead of seq 0 —
 // the interval-snapshot race window is closed by the journal tail, not
 // by snapshot timing.
@@ -315,13 +303,12 @@ func TestServiceJournalCheckpointSnapshot(t *testing.T) {
 			t.Fatalf("seed %d: %d: %s", seed, resp.StatusCode, body)
 		}
 	}
-	waitJournalIdle(t, svc)
-	wantCkpt := svc.journal.cacheProj.Seq()
-	if wantCkpt == 0 {
-		t.Fatal("cache projection never advanced")
-	}
 	ts.Close()
 	svc.Close() // final snapshot carries the final checkpoint
+	wantCkpt := svc.journal.j.LastSeq()
+	if wantCkpt == 0 {
+		t.Fatal("journal never advanced")
+	}
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -337,7 +324,6 @@ func TestServiceJournalCheckpointSnapshot(t *testing.T) {
 
 	svc2 := mk()
 	defer svc2.Close()
-	waitFor(t, func() bool { return svc2.journal.ready.Load() })
 	if got := svc2.persister.loadedCheckpoint.Load(); got != wantCkpt {
 		t.Fatalf("restart loaded checkpoint %d, want %d", got, wantCkpt)
 	}
@@ -356,4 +342,126 @@ func TestServiceJournalCheckpointSnapshot(t *testing.T) {
 			t.Fatalf("seed %d recomputed after checkpointed restart: %s", seed, body)
 		}
 	}
+}
+
+// TestServiceSnapshotDuringReplayNeverOverclaims: a cache snapshot that
+// fires while New is replaying the journal, or right after, never
+// records a checkpoint above what its entries hold — every verdict
+// journaled at or below the recorded checkpoint is in the file. A
+// server restarted from any such snapshot plus the journal therefore
+// serves every journaled verdict as a hit.
+func TestServiceSnapshotDuringReplayNeverOverclaims(t *testing.T) {
+	const verdicts = 4
+	backend := journal.NewMemBackend(nil)
+	svc := New(Config{Workers: 2, QueueDepth: 16, JournalBackend: backend})
+	// Filler ahead of the verdicts makes replay last long enough for
+	// millisecond snapshots to fire mid-fold.
+	for i := 0; i < 20000; i++ {
+		if err := svc.journal.j.AppendAsync(journal.KindRequest, []byte(`{"kind":"ringsim"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(svc)
+	for seed := int64(0); seed < verdicts; seed++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/ringsim", ringsimBody(seed)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	ts.Close()
+	svc.Close()
+
+	// seqOf maps each journaled verdict key to its sequence number.
+	seqOf := make(map[string]uint64)
+	for _, ev := range svc.journal.j.Events(1) {
+		if ev.Kind == journal.KindVerdict {
+			var pe persistedEntry
+			mustUnmarshal(t, ev.Data, &pe)
+			seqOf[pe.Key] = ev.Seq
+		}
+	}
+	if len(seqOf) != verdicts {
+		t.Fatalf("journal holds %d verdicts, want %d", len(seqOf), verdicts)
+	}
+
+	// Restart with a fresh snapshot file and millisecond snapshots, and
+	// keep every distinct image the file passes through during and just
+	// after New.
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	var restarted *Server
+	done := make(chan struct{})
+	go func() {
+		restarted = New(Config{Workers: 2, QueueDepth: 16, JournalBackend: backend,
+			CachePath: path, CacheSnapshotInterval: time.Millisecond})
+		close(done)
+	}()
+	var images [][]byte
+	capture := func() {
+		raw, err := os.ReadFile(path)
+		if err == nil && (len(images) == 0 || !bytes.Equal(raw, images[len(images)-1])) {
+			images = append(images, raw)
+		}
+	}
+	for waiting := true; waiting; {
+		select {
+		case <-done:
+			waiting = false
+		default:
+			capture()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		capture()
+		time.Sleep(time.Millisecond)
+	}
+	restarted.Close()
+	if len(images) == 0 {
+		t.Fatal("no snapshot landed")
+	}
+
+	for i, img := range images {
+		entries, ckpt, skipped := decodeCacheEntries(img)
+		if skipped != 0 {
+			t.Fatalf("image %d: %d records skipped", i, skipped)
+		}
+		held := make(map[string]bool, len(entries))
+		for _, e := range entries {
+			held[e.Key] = true
+		}
+		for key, seq := range seqOf {
+			if seq <= ckpt && !held[key] {
+				t.Fatalf("image %d: checkpoint %d covers verdict seq %d, but the snapshot lacks it", i, ckpt, seq)
+			}
+		}
+	}
+
+	// Crash-restart from the earliest and the latest image: both serve
+	// every journaled verdict from the cache.
+	for _, img := range [][]byte{images[0], images[len(images)-1]} {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again := New(Config{Workers: 2, QueueDepth: 16, JournalBackend: journal.NewMemBackend(mustBackendBytes(t, backend)),
+			CachePath: path, CacheSnapshotInterval: time.Hour})
+		ts := httptest.NewServer(again)
+		for seed := int64(0); seed < verdicts; seed++ {
+			resp, body := postJSON(t, ts.URL+"/v1/ringsim", ringsimBody(seed))
+			var rr RingsimResponse
+			mustUnmarshal(t, body, &rr)
+			if resp.StatusCode != http.StatusOK || !rr.Cached {
+				t.Fatalf("seed %d not served from cache after restart: %d %s", seed, resp.StatusCode, body)
+			}
+		}
+		ts.Close()
+		again.Close()
+	}
+}
+
+func mustBackendBytes(t *testing.T, b *journal.MemBackend) []byte {
+	t.Helper()
+	raw, err := b.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -68,12 +68,35 @@ type metrics struct {
 	timeout    atomic.Int64
 	overload   atomic.Int64
 	internal   atomic.Int64
+
+	// Completed chaos campaigns, summed.
+	campaigns atomic.Int64
+	episodes  atomic.Int64
+	passed    atomic.Int64
+	failed    atomic.Int64
 }
 
-// applyOutcome folds one outcome into the counters — the single
-// mutation path shared by the live (journal-less) recorders and the
-// metrics projection's replay, so both derivations agree by
-// construction.
+// The apply* methods are the only mutations of the counters, shared by
+// the live recorders and the journal replay in New, so a replayed
+// server and one that saw the requests live agree by construction.
+
+// applyRequest counts one request arrival of the given kind.
+func (m *metrics) applyRequest(kind string) {
+	if c, ok := m.requests[kind]; ok {
+		c.Add(1)
+	}
+}
+
+// applyCampaign folds one completed chaos campaign into the summary.
+func (m *metrics) applyCampaign(ce campaignEvent) {
+	m.campaigns.Add(1)
+	m.episodes.Add(int64(ce.Episodes))
+	m.passed.Add(int64(ce.Passed))
+	m.failed.Add(int64(ce.Failed))
+}
+
+// applyOutcome folds one outcome into the response counters and, for a
+// successful computed check, kind's latency histogram.
 func (m *metrics) applyOutcome(oe outcomeEvent) {
 	switch oe.Status {
 	case statusOK:

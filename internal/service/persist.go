@@ -199,11 +199,11 @@ type cachePersister struct {
 	saveErrors atomic.Int64 // failed snapshots
 
 	// loadedCheckpoint is the journal checkpoint read from the file at
-	// boot; the cache projection resumes replay just above it.
+	// boot; journal replay puts only the verdicts above it.
 	loadedCheckpoint atomic.Uint64
-	// journalSeq, when set (atomically, before the first snapshot
-	// fires), reports the cache projection's current checkpoint so each
-	// snapshot records how much journal it reflects.
+	// journalSeq, once set after journal replay, reports the journal
+	// head so each snapshot records how much journal it reflects; until
+	// then a snapshot records loadedCheckpoint.
 	journalSeq atomic.Value // func() uint64
 
 	// snapMu serializes snapshot writers: the interval loop, the journal
@@ -250,7 +250,7 @@ func (p *cachePersister) load() {
 	p.loadedCheckpoint.Store(ckpt)
 }
 
-// setJournalSeq wires the cache projection's checkpoint reader in.
+// setJournalSeq wires the journal head reader in.
 func (p *cachePersister) setJournalSeq(fn func() uint64) {
 	p.journalSeq.Store(fn)
 }
@@ -271,16 +271,16 @@ func (p *cachePersister) loop() {
 
 // snapshot writes the current cache to the file via write-temp + atomic
 // rename, so a crash mid-snapshot leaves the previous file intact. The
-// journal checkpoint is captured *before* the entries: entries applied
-// in between are both in the snapshot and above the recorded
-// checkpoint, and the cache projection's replay re-put is idempotent —
-// overlap is stuttering, loss would not be. It returns the checkpoint
-// the written snapshot covers and whether the write landed — the
-// journal retention loop turns a true return into SetCovered(ckpt).
+// journal checkpoint is captured *before* the entries: verdicts put in
+// between are both in the snapshot and above the recorded checkpoint,
+// and replay re-puts them with the same value — overlap is stuttering,
+// loss would not be. It returns the checkpoint the written snapshot
+// covers and whether the write landed — the journal retention loop
+// turns a true return into SetCovered(ckpt).
 func (p *cachePersister) snapshot() (uint64, bool) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	var ckpt uint64
+	ckpt := p.loadedCheckpoint.Load()
 	if fn, ok := p.journalSeq.Load().(func() uint64); ok {
 		ckpt = fn()
 	}

@@ -202,7 +202,6 @@ func TestVerdictTimeTravelMatchesReferenceReplay(t *testing.T) {
 	ref := New(Config{Workers: 1, QueueDepth: 16,
 		JournalBackend: journal.NewMemBackend(prefix.Bytes())})
 	defer ref.Close()
-	waitFor(t, func() bool { return ref.journal.ready.Load() })
 	refKeys := ref.CacheKeys()
 	if len(refKeys) != len(keys) {
 		t.Fatalf("reference replay has %d verdicts, time travel %d", len(refKeys), len(keys))
@@ -262,7 +261,6 @@ func TestCompactionPreservesServingStateAcrossRestart(t *testing.T) {
 
 	svc2 := mk()
 	defer svc2.Close()
-	waitFor(t, func() bool { return svc2.journal.ready.Load() })
 	if got := svc2.JournalHorizon(); got != horizon {
 		t.Fatalf("restart horizon %d, want %d (inferred from the compacted prefix)", got, horizon)
 	}

@@ -72,10 +72,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// JournalPath, when non-empty, event-sources the server through an
 	// append-only journal at this file: requests, outcomes, verdicts,
-	// and campaign summaries become typed events, and the verdict
-	// cache, /metrics counters, and campaign summary are derived by
-	// replayable projections (see journal.go). Startup replays the
-	// journal before /readyz reports ready.
+	// and campaign summaries are also appended as typed events, and New
+	// replays them into the verdict cache, /metrics counters, and
+	// campaign summary before it returns (see journal.go).
 	JournalPath string
 	// JournalBackend supplies the journal's storage directly (tests,
 	// fleet replicas); it takes precedence over JournalPath.
@@ -83,9 +82,6 @@ type Config struct {
 	// JournalMaxBatch caps one group commit (default
 	// journal.DefaultMaxBatch).
 	JournalMaxBatch int
-	// JournalMaxLag bounds how far the slowest projection may trail the
-	// journal before appends block (default journal.DefaultMaxLag).
-	JournalMaxLag int
 	// JournalMaxBytes, when > 0, bounds the journal file's size: past the
 	// budget the server compacts the prefix covered by cache snapshots
 	// and, if compaction cannot reclaim enough, degrades append admission
@@ -178,7 +174,7 @@ func New(cfg Config) *Server {
 		s.persister = newCachePersister(cfg.CachePath, cfg.CacheSnapshotInterval, s.cache)
 	}
 	if cfg.JournalBackend != nil || cfg.JournalPath != "" {
-		// After the persister: the cache projection resumes from the
+		// After the persister: replay resumes verdicts from the
 		// snapshot file's journal checkpoint.
 		s.journal = newServerJournal(s, cfg)
 	}
@@ -260,9 +256,9 @@ func (s *Server) BeginDrain() {
 }
 
 // Close stops the worker pool (in-flight jobs finish first), drains the
-// journal's projections and writer, and, when cache persistence is
-// configured, takes the final cache snapshot — after the projections
-// have converged, so the snapshot's journal checkpoint is final.
+// journal's writer, and, when cache persistence is configured, takes
+// the final cache snapshot — after the writer has drained, so the
+// snapshot's journal checkpoint is the journal's final head.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.pool.close()
@@ -491,15 +487,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining",
 		})
-	case s.journal != nil && !s.journal.ready.Load():
-		// Startup is replay: the projections have not yet converged on
-		// the journaled history, so the cache and counters are behind
-		// what this instance has already acknowledged.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":         "replaying",
-			"journal_seq":    s.journal.j.LastSeq(),
-			"projection_lag": s.journal.engine.Lags(),
-		})
 	case depth >= s.readyHighWater():
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":      "saturated",
@@ -541,7 +528,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap.Latency[k] = h.snapshot()
 	}
 	if s.journal != nil {
-		snap.Journal = s.journal.metricsSnapshot()
+		snap.Journal = s.journalMetricsSnapshot()
 	}
 	if s.cfg.ResilienceMetrics != nil {
 		snap.Fleet = s.cfg.ResilienceMetrics()

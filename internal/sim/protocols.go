@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Dijkstra3 is Dijkstra's 3-state token ring in local-rule form (the final
 // Section 5.2 listing). P = N+1 processes; registers are mod-3 counters.
@@ -297,3 +300,31 @@ func (nt *NewThree) TokenAt(c Config, i int) bool {
 
 // Legitimate implements Protocol.
 func (nt *NewThree) Legitimate(c Config) bool { return TokenCount(nt, c) == 1 }
+
+// ErrUnknownFamily is wrapped by NewProtocol's error for a family name
+// it does not know.
+var ErrUnknownFamily = errors.New("unknown family")
+
+// NewProtocol builds a protocol family by name with p processes; k is
+// the counter modulus and matters only to kstate. Out-of-range
+// parameters are an error, not a panic, so callers can pass user input
+// straight through.
+func NewProtocol(family string, p, k int) (Protocol, error) {
+	if p < 3 {
+		return nil, fmt.Errorf("%s needs at least 3 processes, got %d", family, p)
+	}
+	switch family {
+	case "dijkstra3":
+		return NewDijkstra3(p), nil
+	case "dijkstra4":
+		return NewDijkstra4(p), nil
+	case "kstate":
+		if k < 2 {
+			return nil, fmt.Errorf("kstate needs k ≥ 2, got %d", k)
+		}
+		return NewKState(p, k), nil
+	case "newthree":
+		return NewNewThree(p), nil
+	}
+	return nil, fmt.Errorf("%w %q (want dijkstra3 | dijkstra4 | kstate | newthree)", ErrUnknownFamily, family)
+}
