@@ -136,19 +136,19 @@ fleet-demo:
 # fleet-gray-race exercises the failure-domain hardening layer under
 # the race detector: breaker state machines, hedged forwards (two
 # goroutines racing to answer one request), deadline-budget refusals,
-# reply validation, and quarantine flap sequences — then a seeded
-# gray-failure campaign (slow-peer + garbage-reply + asym-partition)
-# under live load. The failure detector stays green through every gray
+# reply validation, and a flapping peer under paced traffic — then a
+# seeded gray-failure campaign (slow-peer + garbage-reply +
+# asym-partition) under live load. The failure detector stays green through every gray
 # fault, so only the breakers, hedges, and validation stand between a
 # sick peer and the tail; -fail-on-5xx makes any dropped request a
 # non-zero exit.
 fleet-gray-race:
 	$(GO) test -race -count=2 -run \
-		'Breaker|Hedge|Budget|Quarantine|ValidateReply|Garbage' \
+		'Breaker|Hedge|Budget|FlapSequence|ValidateReply|Garbage' \
 		./internal/fleet/...
 	$(GO) run -race ./cmd/loadgen -replicas 3 -n 400 -warmup 100 -seed 9 \
 		-chaos -chaos-faults 3 -chaos-kinds slow-peer,garbage-reply,asym-partition \
-		-slow-delay 100ms -breaker-breach 50ms -pace 2ms -fail-on-5xx
+		-slow-delay 100ms -pace 2ms -fail-on-5xx
 
 # bench-fleet regenerates the recorded E19 scaling baseline. The report
 # is deterministic for the fixed seed, so a diff against the committed

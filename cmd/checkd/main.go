@@ -92,7 +92,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	journalCheckpointInterval := fs.Duration("journal-checkpoint-interval", 2*time.Second, "cache snapshot + compaction-horizon publish cadence (with -journal-max-bytes)")
 	fleetSize := fs.Int("fleet", 0, "run N replicas as one fleet on loopback listeners (0 = single process)")
 	fleetBreakerFailures := fs.Int("fleet-breaker-failures", 0, "consecutive forward failures that open a peer breaker (0 = default, negative = disabled; requires -fleet)")
-	fleetBreakerBreach := fs.Duration("fleet-breaker-breach", 0, "forward p99 latency that opens a peer breaker (0 = default, negative = disabled; requires -fleet)")
 	fleetHedgeDelay := fs.Duration("fleet-hedge-delay", 0, "hedged-forward delay (0 = latency-derived, negative = disabled; requires -fleet)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,8 +100,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		switch {
 		case *fleetBreakerFailures != 0:
 			return errors.New("-fleet-breaker-failures requires -fleet (breakers guard forwards between replicas)")
-		case *fleetBreakerBreach != 0:
-			return errors.New("-fleet-breaker-breach requires -fleet (breakers guard forwards between replicas)")
 		case *fleetHedgeDelay != 0:
 			return errors.New("-fleet-hedge-delay requires -fleet (hedging races a forward against local compute)")
 		}
@@ -141,11 +138,10 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			return errors.New("-journal-path cannot be combined with -fleet: replicas do not share one journal file")
 		}
 		return runFleet(fleet.Config{
-			Replicas:             *fleetSize,
-			Service:              svcCfg,
-			BreakerFailures:      *fleetBreakerFailures,
-			BreakerLatencyBreach: *fleetBreakerBreach,
-			HedgeDelay:           *fleetHedgeDelay,
+			Replicas:        *fleetSize,
+			Service:         svcCfg,
+			BreakerFailures: *fleetBreakerFailures,
+			HedgeDelay:      *fleetHedgeDelay,
 		}, out, stop)
 	}
 

@@ -15,16 +15,16 @@
 // gray kinds slow-peer, asym-partition, and garbage-reply) while the
 // traffic runs; the fleet must keep answering without a single 5xx,
 // and the report gains the campaign result and the membership event
-// counts. -breaker-failures, -breaker-breach, and -hedge-delay tune
-// the fleet's failure-domain hardening for the run, and the
-// per-replica report section carries the breaker, hedge, and
-// deadline-budget counters.
+// counts. -breaker-failures and -hedge-delay tune the fleet's
+// failure-domain hardening for the run, and the per-replica report
+// section carries the breaker, hedge, and deadline-budget counters.
 //
 // The workload is pre-generated from -seed: request kinds from the
 // -mix percentages, program popularity Zipf-skewed over -programs
 // distinct programs, entry replica round-robin. With -concurrency 1
-// every count in the report is deterministic for a fixed seed; latency
-// and throughput are wall-clock measurements.
+// and -hedge-delay -1 every count in the report is deterministic for a
+// fixed seed (a hedge fires on wall-clock time); latency and
+// throughput are wall-clock measurements.
 //
 // Usage:
 //
@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	zipf := fs.Float64("zipf", 1.2, "Zipf skew over the program population (> 1)")
 	mix := fs.String("mix", "60,30,10", "check,lint,refine traffic mix in percent")
-	concurrency := fs.Int("concurrency", 1, "closed-loop workers (1 = deterministic counts)")
+	concurrency := fs.Int("concurrency", 1, "closed-loop workers (1 = deterministic counts with -hedge-delay -1)")
 	timeoutMS := fs.Int64("timeout-ms", 30_000, "per-request timeout_ms")
 	pace := fs.Duration("pace", 0, "sleep between consecutive requests per worker (spreads load across a campaign)")
 	journalMode := fs.Bool("journal", false, "event-source the in-process fleet: per-replica journals, suffix-based anti-entropy (needs -replicas)")
@@ -84,7 +84,6 @@ func run(args []string, out io.Writer) error {
 	chaosKinds := fs.String("chaos-kinds", "crash,partition", "comma-separated campaign fault kinds (crash, partition, isolate, slow-peer, asym-partition, garbage-reply)")
 	slowDelay := fs.Duration("slow-delay", 200*time.Millisecond, "injected per-operation delay for slow-peer faults")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive forward failures that open a peer breaker (0 = fleet default, negative = disabled)")
-	breakerBreach := fs.Duration("breaker-breach", 0, "forward p99 latency that opens a peer breaker (0 = fleet default, negative = disabled)")
 	hedgeDelay := fs.Duration("hedge-delay", 0, "fixed hedged-forward delay (0 = latency-derived, negative = disabled)")
 	failOn5xx := fs.Bool("fail-on-5xx", false, "exit non-zero if any response was a 5xx or transport error")
 	outPath := fs.String("out", "", "write the JSON report to this file instead of stdout")
@@ -119,8 +118,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-slow-delay %s: cannot inject a negative delay", *slowDelay)
 	case *breakerFailures != 0 && *replicas == 0:
 		return fmt.Errorf("-breaker-failures %d: breaker tuning needs an in-process fleet (-replicas)", *breakerFailures)
-	case *breakerBreach != 0 && *replicas == 0:
-		return fmt.Errorf("-breaker-breach %s: breaker tuning needs an in-process fleet (-replicas)", *breakerBreach)
 	case *hedgeDelay != 0 && *replicas == 0:
 		return fmt.Errorf("-hedge-delay %s: hedge tuning needs an in-process fleet (-replicas)", *hedgeDelay)
 	}
@@ -140,12 +137,11 @@ func run(args []string, out io.Writer) error {
 		return errors.New("-addrs and -replicas are mutually exclusive")
 	case *replicas > 0:
 		f, err = fleet.New(fleet.Config{
-			Replicas:             *replicas,
-			Service:              service.Config{},
-			Journal:              *journalMode,
-			BreakerFailures:      *breakerFailures,
-			BreakerLatencyBreach: *breakerBreach,
-			HedgeDelay:           *hedgeDelay,
+			Replicas:        *replicas,
+			Service:         service.Config{},
+			Journal:         *journalMode,
+			BreakerFailures: *breakerFailures,
+			HedgeDelay:      *hedgeDelay,
 		})
 		if err != nil {
 			return err

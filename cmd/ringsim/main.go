@@ -8,16 +8,13 @@
 //	ringsim -protocol dijkstra4 -p 7 -live
 //	ringsim cluster -protocol dijkstra3 -p 5 -schedule "corrupt@40:node=1"
 //	ringsim chaos -protocol dijkstra3 -p 5 -episodes 20 -recovery-slo 400
-//	ringsim fleet -replicas 3 -faults 4 -seed 5
 //
 // The cluster subcommand runs the message-passing runtime
 // (internal/cluster) instead of the shared-memory simulator; the chaos
 // subcommand runs a seeded campaign of fault episodes judged against a
-// recovery SLO, exiting non-zero on violation; the fleet subcommand
-// runs one membership chaos episode against a live in-process checkd
-// replica fleet with traffic, exiting non-zero on any 5xx or a failed
-// re-convergence. See `ringsim cluster -h`, `ringsim chaos -h`, and
-// `ringsim fleet -h`.
+// recovery SLO, exiting non-zero on violation. See `ringsim cluster -h`
+// and `ringsim chaos -h`. Chaos against a live checkd replica fleet is
+// `loadgen -replicas N -chaos`.
 package main
 
 import (
@@ -45,9 +42,6 @@ func run(args []string, out io.Writer) error {
 	if len(args) > 0 && args[0] == "chaos" {
 		return runChaos(args[1:], out)
 	}
-	if len(args) > 0 && args[0] == "fleet" {
-		return runFleet(args[1:], out)
-	}
 	fs := flag.NewFlagSet("ringsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	protoName := fs.String("protocol", "dijkstra3", "dijkstra3 | dijkstra4 | kstate | newthree")
@@ -63,6 +57,9 @@ func run(args []string, out io.Writer) error {
 	service := fs.Bool("service", false, "measure the ring as a mutual-exclusion service")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (subcommands: cluster, chaos)", fs.Arg(0))
 	}
 
 	// Validate every numeric flag up front, naming the flag, before any

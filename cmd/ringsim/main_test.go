@@ -75,6 +75,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}, &b); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// A removed or misspelled subcommand must not fall through to a
+	// default simulation run.
+	if err := run([]string{"fleet", "-replicas", "3"}, &b); err == nil || !strings.Contains(err.Error(), `"fleet"`) {
+		t.Fatalf("unknown subcommand: err = %v, want one naming \"fleet\"", err)
+	}
 }
 
 // TestRunKStateModulusTooSmall: a kstate counter modulus of 1 passes

@@ -107,6 +107,6 @@ func All() []Experiment {
 		{"E19", "Extension: replica fleet scaling — consistent-hash routing and anti-entropy sync", E19Fleet},
 		{"E20", "Extension: event-sourced journal — replay equivalence, torn-tail resync, group-commit throughput", E20Journal},
 		{"E21", "Extension: journal retention — bounded disk, crash-safe compaction, degradation ladder", E21Retention},
-		{"E22", "Extension: gray-failure hardening — breakers, hedged forwards, deadline budgets, flap quarantine", E22GrayFailure},
+		{"E22", "Extension: gray-failure hardening — breakers, hedged forwards, deadline budgets", E22GrayFailure},
 	}
 }

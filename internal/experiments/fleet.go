@@ -19,8 +19,12 @@ import (
 // (forwards instead of duplicate work), and anti-entropy converts
 // those forwards into local hits by diffusing the verdicts to every
 // replica. All counts are deterministic for the fixed seed: the
-// workload is pre-generated and runs sequentially, so the report is a
-// golden artifact (BENCH_fleet.json), not a flaky benchmark.
+// workload is pre-generated and runs sequentially against fleets with
+// hedging off, so the report is a golden artifact (BENCH_fleet.json),
+// not a flaky benchmark. Hedging stays off because a hedge fires on
+// wall-clock time: under CPU contention it races local compute against
+// a forward the owner would have answered from cache, and a local win
+// turns that hit into a miss.
 func E19Fleet() *Report {
 	r := &Report{
 		ID:    "E19",
@@ -56,6 +60,7 @@ func runE19Cell(n int, withAE bool, requests, warmup, programs int, seed int64) 
 		Service:             service.Config{Workers: 2, QueueDepth: 64},
 		AntiEntropyInterval: -1, // manual: the experiment drives rounds
 		HeartbeatInterval:   25 * time.Millisecond,
+		HedgeDelay:          -1, // counts must not depend on wall-clock races
 	})
 	if err != nil {
 		return Row{Name: fmt.Sprintf("N=%d", n), Detail: err.Error()}, ""

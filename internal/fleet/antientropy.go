@@ -87,7 +87,7 @@ func (rp *Replica) AntiEntropyRound() int {
 func (rp *Replica) digestRound(svc *service.Server, targetID string) (int, bool) {
 	reply, err := rp.callPeerGated(targetID, rpcRequest{
 		Op: "digest", From: rp.id, Keys: svc.CacheKeys(),
-	}, rp.f.cfg.ForwardTimeout)
+	}, forwardTimeout)
 	if err != nil || !reply.OK {
 		// Failed round: stay unready if this would have been the first,
 		// retry against the next peer on the next tick.
@@ -108,7 +108,7 @@ func (rp *Replica) digestRound(svc *service.Server, targetID string) (int, bool)
 func (rp *Replica) journalRound(svc *service.Server, targetID string, since uint64) (int, bool) {
 	reply, err := rp.callPeerGated(targetID, rpcRequest{
 		Op: "journal", From: rp.id, Since: since,
-	}, rp.f.cfg.ForwardTimeout)
+	}, forwardTimeout)
 	if err != nil || !reply.OK {
 		return 0, false
 	}
@@ -150,7 +150,7 @@ func (rp *Replica) journalRound(svc *service.Server, targetID string, since uint
 
 // handleJournalSuffix is the peer side of a journal-mode exchange:
 // encode the verdict events above the requester's cursor, bounded by
-// MaxPullPerRound per round.
+// maxPullPerRound per round.
 func (rp *Replica) handleJournalSuffix(req rpcRequest) rpcReply {
 	svc := rp.Service()
 	if svc == nil {
@@ -159,7 +159,7 @@ func (rp *Replica) handleJournalSuffix(req rpcRequest) rpcReply {
 	if !svc.JournalEnabled() {
 		return rpcReply{Err: "no journal"}
 	}
-	body, next, n, hole := svc.EncodeJournalSuffix(req.Since, rp.f.cfg.MaxPullPerRound)
+	body, next, n, hole := svc.EncodeJournalSuffix(req.Since, maxPullPerRound)
 	return rpcReply{OK: true, Body: body, Entries: n, Next: next, Hole: hole}
 }
 
@@ -170,7 +170,7 @@ func (rp *Replica) finishRound() {
 }
 
 // handleDigest is the peer side of an anti-entropy exchange: encode the
-// entries the requester lacks, up to MaxPullPerRound per round.
+// entries the requester lacks, up to maxPullPerRound per round.
 func (rp *Replica) handleDigest(req rpcRequest) rpcReply {
 	svc := rp.Service()
 	if svc == nil {
@@ -186,10 +186,9 @@ func (rp *Replica) handleDigest(req rpcRequest) rpcReply {
 			missing = append(missing, k)
 		}
 	}
-	max := rp.f.cfg.MaxPullPerRound
-	if len(missing) > max {
-		missing = missing[:max]
+	if len(missing) > maxPullPerRound {
+		missing = missing[:maxPullPerRound]
 	}
-	body := svc.EncodeCacheEntriesFor(missing, max)
+	body := svc.EncodeCacheEntriesFor(missing, maxPullPerRound)
 	return rpcReply{OK: true, Body: body, Entries: len(missing)}
 }

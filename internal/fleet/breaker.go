@@ -9,15 +9,13 @@ import (
 )
 
 // Per-peer circuit breaker: the failure-domain boundary between one
-// replica and one peer. A peer that fails forwards consecutively — or
-// answers them, but slower than the latency breach — trips its breaker
-// open, and routed requests skip straight to local compute instead of
-// paying the dial-and-timeout tax on every hop. After a seeded
-// exponential backoff the breaker goes half-open and admits exactly one
-// probe; a probe success closes it, a probe failure re-opens it with a
-// doubled hold. The same tracker that feeds the breach trip derives the
-// hedge delay (hedge.go), so "how slow is this peer lately" is measured
-// once and consulted twice.
+// replica and one peer. A peer that fails forwards consecutively trips
+// its breaker open, and routed requests skip straight to local compute
+// instead of paying the dial-and-timeout tax on every hop. After a
+// seeded exponential backoff the breaker goes half-open and admits
+// exactly one probe; a probe success closes it, a probe failure
+// re-opens it with a doubled hold. The breaker also keeps the peer's
+// latency tracker, from which the hedge delay (hedge.go) is derived.
 
 // Breaker state names, as reported by /fleetz and /metrics.
 const (
@@ -28,11 +26,11 @@ const (
 
 const (
 	// breakerSamples is the per-peer latency ring size. 64 round trips
-	// of memory is enough for a stable p95/p99 and cheap to sort.
+	// of memory is enough for a stable p95 and cheap to sort.
 	breakerSamples = 64
-	// breachMinSamples gates the latency trip: below it a p99 is one
-	// unlucky round trip, not a sick peer.
-	breachMinSamples = 4
+	// hedgeMinSamples gates the derived hedge delay: below it a p95 is
+	// one unlucky round trip, not the peer's latency.
+	hedgeMinSamples = 4
 	// breakerMaxBackoffShift caps the open→half-open hold doubling at
 	// 16× the base cooldown.
 	breakerMaxBackoffShift = 4
@@ -76,7 +74,6 @@ type breakerStats struct {
 // methods are nil-safe so call sites need no peer-existence ceremony.
 type breaker struct {
 	failures int           // consecutive failures that trip it; <= 0 disables gating
-	breach   time.Duration // p99 latency that trips it; <= 0 disables the latency trip
 	cooldown time.Duration // base open→half-open hold
 	now      func() time.Time
 	rng      *rand.Rand // seeded jitter; guarded by mu
@@ -98,21 +95,12 @@ type breaker struct {
 	skips     int64
 }
 
-// newBreaker builds one peer's breaker from the fleet config. Negative
-// config values mean "disabled" and are normalized to zero here.
-func newBreaker(cfg Config, seed int64) *breaker {
-	failures := cfg.BreakerFailures
-	if failures < 0 {
-		failures = 0
-	}
-	breach := cfg.BreakerLatencyBreach
-	if breach < 0 {
-		breach = 0
-	}
+// newBreaker builds one peer's breaker. A non-positive failures
+// threshold disables gating; the latency tracker runs regardless.
+func newBreaker(failures int, cooldown time.Duration, seed int64) *breaker {
 	return &breaker{
 		failures: failures,
-		breach:   breach,
-		cooldown: cfg.BreakerCooldown,
+		cooldown: cooldown,
 		now:      wallNow,
 		rng:      rand.New(rand.NewSource(seed)),
 		state:    breakerClosed,
@@ -152,8 +140,8 @@ func (b *breaker) allow() (bool, []breakerEvent) {
 
 // success records one completed round trip. It always feeds the latency
 // tracker (hedge delays want samples even with gating disabled); with
-// gating enabled it closes a half-open breaker and checks the closed
-// state for a p99 breach.
+// gating enabled it resets the failure count and closes a half-open
+// breaker.
 func (b *breaker) success(rtt time.Duration) []breakerEvent {
 	if b == nil {
 		return nil
@@ -165,21 +153,14 @@ func (b *breaker) success(rtt time.Duration) []breakerEvent {
 		return nil
 	}
 	b.consecFails = 0
-	switch b.state {
-	case breakerHalfOpen:
-		b.state = breakerClosed
-		b.probing = false
-		b.streak = 0
-		b.closes++
-		return []breakerEvent{{KindBreakerClosed, "probe succeeded"}}
-	case breakerClosed:
-		if b.breach > 0 && b.latN >= breachMinSamples {
-			if p99 := b.quantileLocked(0.99); p99 > b.breach {
-				return b.tripLocked(fmt.Sprintf("p99 %v over breach %v", p99, b.breach))
-			}
-		}
+	if b.state != breakerHalfOpen {
+		return nil
 	}
-	return nil
+	b.state = breakerClosed
+	b.probing = false
+	b.streak = 0
+	b.closes++
+	return []breakerEvent{{KindBreakerClosed, "probe succeeded"}}
 }
 
 // failure records one failed call: a failed probe re-opens immediately,
@@ -210,8 +191,8 @@ func (b *breaker) failure() []breakerEvent {
 }
 
 // tripLocked opens the breaker: exponential hold with seeded jitter,
-// and the latency window cleared so stale sick-peer samples cannot
-// re-trip the breach the moment a recovered peer closes it again.
+// and the latency window cleared so the hedge delay a recovered peer
+// gets is derived from its fresh round trips, not the sick ones.
 func (b *breaker) tripLocked(why string) []breakerEvent {
 	b.state = breakerOpen
 	b.consecFails = 0
@@ -264,7 +245,7 @@ func (b *breaker) hedgeDelay() time.Duration {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.latN < breachMinSamples {
+	if b.latN < hedgeMinSamples {
 		return hedgeDelayCold
 	}
 	d := 2 * b.quantileLocked(0.95)

@@ -14,12 +14,8 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // testBreaker builds a breaker on the fake clock with a fixed seed, so
 // the jittered holds are reproducible run to run.
-func testBreaker(clk *fakeClock, failures int, breach, cooldown time.Duration) *breaker {
-	b := newBreaker(Config{
-		BreakerFailures:      failures,
-		BreakerLatencyBreach: breach,
-		BreakerCooldown:      cooldown,
-	}, 7)
+func testBreaker(clk *fakeClock, failures int, cooldown time.Duration) *breaker {
+	b := newBreaker(failures, cooldown, 7)
 	b.now = clk.now
 	return b
 }
@@ -40,7 +36,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	cases := []struct {
 		name     string
 		failures int
-		breach   time.Duration
 		steps    []step
 		want     string
 	}{
@@ -86,19 +81,7 @@ func TestBreakerStateMachine(t *testing.T) {
 			want: breakerOpen,
 		},
 		{
-			name: "latency breach trips at the sample floor", failures: 3, breach: 50 * time.Millisecond,
-			steps: []step{
-				{op: "ok", rtt: time.Millisecond},
-				{op: "ok", rtt: time.Millisecond},
-				{op: "ok", rtt: 200 * time.Millisecond}, // 3 samples: below the floor, no trip
-				{op: "allow"},
-				{op: "ok", rtt: 200 * time.Millisecond}, // 4th sample: p99 over breach
-				{op: "deny"},
-			},
-			want: breakerOpen,
-		},
-		{
-			name: "disabled gating never trips", failures: -1, breach: -1,
+			name: "disabled gating never trips", failures: -1,
 			steps: []step{{op: "fail"}, {op: "fail"}, {op: "fail"}, {op: "fail"}, {op: "allow"}},
 			want:  breakerClosed,
 		},
@@ -107,7 +90,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &fakeClock{t: time.Unix(1000, 0)}
-			b := testBreaker(clk, tc.failures, tc.breach, cooldown)
+			b := testBreaker(clk, tc.failures, cooldown)
 			for i, s := range tc.steps {
 				switch s.op {
 				case "fail":
@@ -132,44 +115,43 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// A trip clears the latency window: the sick-peer samples that caused
-// the breach must not re-trip the breaker the moment a recovered peer
-// closes it.
+// A trip clears the latency window: the hedge delay toward a peer that
+// just tripped goes back to the cold default instead of being derived
+// from the sick round trips, and a fresh sample floor re-derives it.
 func TestBreakerTripClearsLatencyWindow(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := testBreaker(clk, 3, 50*time.Millisecond, 100*time.Millisecond)
-	for i := 0; i < breachMinSamples; i++ {
-		b.success(200 * time.Millisecond)
+	b := testBreaker(clk, 3, 100*time.Millisecond)
+	for i := 0; i < breakerSamples; i++ {
+		b.success(100 * time.Millisecond)
+	}
+	if got := b.hedgeDelay(); got != hedgeDelayCap {
+		t.Fatalf("slow-peer hedge delay = %v, want cap %v", got, hedgeDelayCap)
+	}
+	for i := 0; i < 3; i++ {
+		b.failure()
 	}
 	if got := b.currentState(); got != breakerOpen {
-		t.Fatalf("state after breach = %s, want open", got)
+		t.Fatalf("state after 3 failures = %s, want open", got)
+	}
+	if got := b.hedgeDelay(); got != hedgeDelayCold {
+		t.Fatalf("hedge delay after trip = %v, want cold %v", got, hedgeDelayCold)
 	}
 	clk.advance(time.Second)
 	if ok, _ := b.allow(); !ok {
 		t.Fatal("hold expired but probe refused")
 	}
-	// The probe success closes the breaker; with the window cleared it
-	// must take a fresh breachMinSamples of slow round trips to re-trip.
-	b.success(200 * time.Millisecond)
-	if got := b.currentState(); got != breakerClosed {
-		t.Fatalf("state after probe success = %s, want closed", got)
+	for i := 0; i < hedgeMinSamples; i++ {
+		b.success(time.Millisecond)
 	}
-	for i := 0; i < breachMinSamples-2; i++ {
-		b.success(200 * time.Millisecond)
-	}
-	if got := b.currentState(); got != breakerClosed {
-		t.Fatalf("re-tripped with only %d fresh samples", breachMinSamples-1)
-	}
-	b.success(200 * time.Millisecond)
-	if got := b.currentState(); got != breakerOpen {
-		t.Fatalf("state with %d fresh slow samples = %s, want open", breachMinSamples, got)
+	if got := b.hedgeDelay(); got != hedgeDelayFloor {
+		t.Fatalf("recovered-peer hedge delay = %v, want floor %v", got, hedgeDelayFloor)
 	}
 }
 
 // Breaker events carry the transition story the monitor emits.
 func TestBreakerEvents(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := testBreaker(clk, 1, 0, 100*time.Millisecond)
+	b := testBreaker(clk, 1, 100*time.Millisecond)
 
 	evs := b.failure()
 	if len(evs) != 1 || evs[0].kind != KindBreakerOpen {
@@ -194,11 +176,11 @@ func TestBreakerEvents(t *testing.T) {
 // the sample floor, 2×p95 clamped to [floor, cap] after.
 func TestBreakerHedgeDelay(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := testBreaker(clk, 3, 0, 100*time.Millisecond)
+	b := testBreaker(clk, 3, 100*time.Millisecond)
 	if got := b.hedgeDelay(); got != hedgeDelayCold {
 		t.Fatalf("cold hedge delay = %v, want %v", got, hedgeDelayCold)
 	}
-	for i := 0; i < breachMinSamples; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		b.success(time.Millisecond) // 2×p95 = 2ms, below the floor
 	}
 	if got := b.hedgeDelay(); got != hedgeDelayFloor {
@@ -220,7 +202,7 @@ func TestBreakerHedgeDelay(t *testing.T) {
 // did not pay.
 func TestBreakerSkipsCounted(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := testBreaker(clk, 1, 0, time.Hour)
+	b := testBreaker(clk, 1, time.Hour)
 	b.failure()
 	for i := 0; i < 3; i++ {
 		if ok, _ := b.allow(); ok {

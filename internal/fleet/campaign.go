@@ -87,9 +87,7 @@ func (f *Fleet) RunCampaign(ctx context.Context, sched []chaos.FleetFault, tick 
 		time.Sleep(tick)
 	}
 	// Final cleanup: heal every cut, clear every gray fault, restart
-	// every crashed replica, and parole quarantined peer views — a
-	// quarantine hold outlasting the campaign must not stall the
-	// convergence gate below.
+	// every crashed replica.
 	f.Heal()
 	for i := range f.replicas {
 		f.SlowReplica(i, 0)
@@ -98,10 +96,9 @@ func (f *Fleet) RunCampaign(ctx context.Context, sched []chaos.FleetFault, tick 
 			return res, err
 		}
 	}
-	f.ParoleAll()
-	// Convergence needs SuspectAfter missed-then-seen heartbeat sweeps
+	// Convergence needs suspectAfter missed-then-seen heartbeat sweeps
 	// on every replica; give it a generous multiple.
-	wait := time.Duration(f.cfg.SuspectAfter+20) * f.cfg.HeartbeatInterval * 4
+	wait := time.Duration(suspectAfter+20) * f.cfg.HeartbeatInterval * 4
 	if wait < 2*time.Second {
 		wait = 2 * time.Second
 	}

@@ -25,7 +25,7 @@ const (
 	// KindAERound records one anti-entropy pull completing.
 	KindAERound = "ae-round"
 	// KindBreakerOpen marks a peer's circuit breaker tripping open
-	// (consecutive failures or a p99 latency breach).
+	// after consecutive failures.
 	KindBreakerOpen = "breaker-open"
 	// KindBreakerHalfOpen marks an open breaker's hold expiring and a
 	// single probe being admitted.
@@ -33,12 +33,6 @@ const (
 	// KindBreakerClosed marks a half-open probe succeeding and the
 	// breaker closing.
 	KindBreakerClosed = "breaker-closed"
-	// KindQuarantined marks a flapping peer being quarantined with an
-	// exponential hold: the ring excludes it and anti-entropy skips it.
-	KindQuarantined = "quarantined"
-	// KindParoled marks a quarantine hold expiring; the peer re-enters
-	// as suspected and must earn a heartbeat to recover.
-	KindParoled = "paroled"
 	// KindSlowPeer records a campaign-injected data-plane latency fault
 	// (gray failure: pings stay fast, forwards drag).
 	KindSlowPeer = "slow-peer"

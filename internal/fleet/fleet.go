@@ -30,100 +30,54 @@ type Config struct {
 	// digests, falling back to digest mode against any peer without a
 	// journal.
 	Journal bool
-	// VNodes is the consistent-hash points per replica (default 64).
-	VNodes int
 	// HeartbeatInterval paces membership pings (default 75ms).
 	HeartbeatInterval time.Duration
-	// SuspectAfter is how many consecutive heartbeat misses make a peer
-	// suspected and remove it from the ring (default 3).
-	SuspectAfter int
 	// AntiEntropyInterval paces cache sync rounds (default 250ms;
 	// negative disables the loop — rounds run only via
 	// AntiEntropyRound, and readiness does not wait for one).
 	AntiEntropyInterval time.Duration
-	// ForwardTimeout bounds one forward or digest RPC (default 10s).
-	ForwardTimeout time.Duration
-	// MaxPullPerRound caps entries pulled per anti-entropy round
-	// (default 256).
-	MaxPullPerRound int
 	// BreakerFailures is how many consecutive failed calls trip a
 	// peer's circuit breaker open (default 3; negative disables
 	// breakers — the PR-6 timeout-then-fallback behavior).
 	BreakerFailures int
-	// BreakerLatencyBreach trips a peer's breaker when its observed
-	// p99 call latency exceeds it, even though calls succeed — the
-	// gray-failure trip (default 500ms; negative disables it).
-	BreakerLatencyBreach time.Duration
-	// BreakerCooldown is the base open→half-open hold, doubled per
-	// consecutive open up to 16× with seeded jitter (default 400ms).
-	BreakerCooldown time.Duration
-	// BreakerSeed seeds the breaker jitter RNGs (default 1).
-	BreakerSeed int64
 	// HedgeDelay is how long a forward may be in flight before local
 	// compute races it: 0 derives a per-peer delay from the latency
 	// tracker, > 0 fixes it, negative disables hedging.
 	HedgeDelay time.Duration
-	// FlapLimit quarantines a peer observed recovering more than this
-	// many times inside FlapWindow (default 4; negative disables
-	// quarantine).
-	FlapLimit int
-	// FlapWindow is the flap-counting window (default 5s).
-	FlapWindow time.Duration
-	// QuarantineHold is the base quarantine hold, doubled per repeat
-	// offense (default 1s).
-	QuarantineHold time.Duration
-	// QuarantineHoldMax caps the exponential hold (default 30s).
-	QuarantineHoldMax time.Duration
 	// Logf, when non-nil, receives fleet and per-replica job log lines.
 	// It must be safe for concurrent use.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// vnodes is the consistent-hash points per replica.
+	vnodes = 64
+	// suspectAfter is how many consecutive heartbeat misses make a peer
+	// suspected and remove it from the ring.
+	suspectAfter = 3
+	// forwardTimeout bounds one forward or anti-entropy RPC.
+	forwardTimeout = 10 * time.Second
+	// maxPullPerRound caps entries pulled per anti-entropy round.
+	maxPullPerRound = 256
+	// breakerCooldown is the base open→half-open hold, doubled per
+	// consecutive open up to 16× with seeded jitter.
+	breakerCooldown = 400 * time.Millisecond
+	// breakerSeed seeds the breaker jitter RNGs.
+	breakerSeed = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 3
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 75 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = 250 * time.Millisecond
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 10 * time.Second
-	}
-	if c.MaxPullPerRound <= 0 {
-		c.MaxPullPerRound = 256
-	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 3
-	}
-	if c.BreakerLatencyBreach == 0 {
-		c.BreakerLatencyBreach = 500 * time.Millisecond
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 400 * time.Millisecond
-	}
-	if c.BreakerSeed == 0 {
-		c.BreakerSeed = 1
-	}
-	if c.FlapLimit == 0 {
-		c.FlapLimit = 4
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = 5 * time.Second
-	}
-	if c.QuarantineHold <= 0 {
-		c.QuarantineHold = time.Second
-	}
-	if c.QuarantineHoldMax <= 0 {
-		c.QuarantineHoldMax = 30 * time.Second
 	}
 	return c
 }
@@ -184,10 +138,10 @@ func New(cfg Config) (*Fleet, error) {
 			}
 			// Distinct deterministic seed per (observer, peer) edge so
 			// breaker backoff jitter never synchronizes across the fleet.
-			seed := cfg.BreakerSeed*int64(cfg.Replicas*cfg.Replicas+1) + int64(rp.idx*cfg.Replicas+other.idx)
+			seed := breakerSeed*int64(cfg.Replicas*cfg.Replicas+1) + int64(rp.idx*cfg.Replicas+other.idx)
 			rp.peers[other.id] = &peer{
 				id: other.id, addr: other.rpcAddr, client: newPeerClient(other.rpcAddr),
-				br: newBreaker(cfg, seed),
+				br: newBreaker(cfg.BreakerFailures, breakerCooldown, seed),
 			}
 		}
 		rp.start(rp.httpLn, rp.rpcLn)
@@ -222,7 +176,7 @@ func (f *Fleet) logf(format string, args ...any) {
 // channel.
 func (rp *Replica) start(httpLn, rpcLn net.Listener) {
 	svc := service.New(rp.f.serviceConfig(rp))
-	ring := NewRing(rp.f.cfg.VNodes)
+	ring := NewRing(vnodes)
 	ring.Add(rp.id)
 
 	rp.mu.Lock()
@@ -230,12 +184,8 @@ func (rp *Replica) start(httpLn, rpcLn net.Listener) {
 		p.misses = 0
 		p.suspected = false
 		// A fresh incarnation starts with a clean opinion of its peers:
-		// breakers closed, no flap history, no quarantine.
+		// breakers closed, latency trackers cold.
 		p.br.reset()
-		p.flapTimes = nil
-		p.quarantines = 0
-		p.quarantined = false
-		p.paroleAt = time.Time{}
 		// Reset the anti-entropy journal cursor: verdicts pulled cold
 		// from this peer were never journaled locally, so a restarted
 		// replica must re-pull from the beginning (PutCold makes the
@@ -278,8 +228,6 @@ func (rp *Replica) shutdown() {
 		return
 	}
 	rp.down = true
-	svc := rp.svc
-	rp.svc = nil
 	stop := rp.stop
 	httpSrv := rp.httpSrv
 	rpcLn := rp.rpcLn
@@ -289,6 +237,10 @@ func (rp *Replica) shutdown() {
 	rp.mu.Unlock()
 
 	close(stop)
+	// Drop every listener and live connection before the service goes:
+	// a request caught by the crash must see a dropped connection, which
+	// a client retries on another replica, not a "replica is down" 503
+	// from a server still accepting on it.
 	if httpSrv != nil {
 		_ = httpSrv.Close()
 	}
@@ -296,6 +248,10 @@ func (rp *Replica) shutdown() {
 		_ = rpcLn.Close()
 	}
 	rp.closeConns()
+	rp.mu.Lock()
+	svc := rp.svc
+	rp.svc = nil
+	rp.mu.Unlock()
 	if svc != nil {
 		svc.Close()
 	}
@@ -583,32 +539,6 @@ func (f *Fleet) GarbageReplica(i int, hostile bool) {
 		f.mon.emit(KindGarbageReply, rp.id, "", "")
 	} else {
 		f.mon.emit(KindHeal, rp.id, "", "garbage-reply cleared")
-	}
-}
-
-// ParoleAll releases every quarantined peer view in the fleet
-// immediately (campaign cleanup: a quarantine hold must not stall the
-// post-campaign convergence gate). Paroled peers still re-enter as
-// suspected and must earn a heartbeat.
-func (f *Fleet) ParoleAll() {
-	for _, rp := range f.replicas {
-		var paroled []string
-		rp.mu.Lock()
-		for _, p := range rp.peers {
-			if p.quarantined {
-				p.quarantined = false
-				p.suspected = true
-				p.misses = f.cfg.SuspectAfter
-				p.flapTimes = nil
-				p.paroleAt = time.Time{}
-				paroled = append(paroled, p.id)
-			}
-		}
-		rp.mu.Unlock()
-		sort.Strings(paroled)
-		for _, id := range paroled {
-			f.mon.emit(KindParoled, id, rp.id, "campaign cleanup")
-		}
 	}
 }
 

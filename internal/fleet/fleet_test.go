@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,9 +26,7 @@ func testFleet(t *testing.T, replicas int, mutate func(*Config)) *Fleet {
 		Replicas:            replicas,
 		Service:             service.Config{Workers: 2, QueueDepth: 16},
 		HeartbeatInterval:   20 * time.Millisecond,
-		SuspectAfter:        3,
 		AntiEntropyInterval: -1,
-		ForwardTimeout:      5 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -266,6 +266,59 @@ func TestFleetCrashSuspectRecover(t *testing.T) {
 	}
 	if f.mon.Count("crash") != 1 || f.mon.Count("restart") != 1 {
 		t.Fatalf("crash/restart events missing; events: %+v", f.Events())
+	}
+}
+
+// A replica crashing under load drops its connections before its
+// service goes away: a request caught by the crash sees a transport
+// error, which a client retries on another replica, and never a
+// "replica is down" 503.
+func TestFleetCrashDropsConnectionsInsteadOf503(t *testing.T) {
+	f := testFleet(t, 2, nil)
+	raw, err := json.Marshal(service.LintRequest{Source: tinyProgram(0), TimeoutMS: 30_000})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	url := "http://" + f.HTTPAddrs()[1] + "/v1/lint"
+	var stop atomic.Bool
+	var served, failed5xx atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &http.Client{}
+			for !stop.Load() {
+				resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
+				if err != nil {
+					time.Sleep(time.Millisecond) // down: the retryable outcome
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				served.Add(1)
+				if resp.StatusCode >= 500 {
+					failed5xx.Add(1)
+				}
+			}
+		}()
+	}
+	var restartErr error
+	for i := 0; i < 30 && restartErr == nil; i++ {
+		f.CrashReplica(1)
+		restartErr = f.RestartReplica(1)
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if restartErr != nil {
+		t.Fatalf("restart: %v", restartErr)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no request was answered; the crashes never met traffic")
+	}
+	if n := failed5xx.Load(); n != 0 {
+		t.Fatalf("%d of %d answered requests were 5xx across 30 crashes", n, served.Load())
 	}
 }
 

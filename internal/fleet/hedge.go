@@ -25,8 +25,9 @@ var errBreakerOpen = errors.New("fleet: peer breaker is open")
 // races local compute against it and answers with whichever finishes
 // first. The forward loser always runs to completion in the
 // background: its outcome is what feeds the breaker's failure counter
-// and latency tracker, so a slow peer trips the p99 breach even though
-// every hedged request stopped waiting for it.
+// and latency tracker, so a slow peer's hedge delay keeps tracking its
+// real round trips even though every hedged request stopped waiting
+// for it.
 
 // budgetFloor is the smallest remaining budget worth shipping to an
 // owner: below it the hop would spend the whole budget on the wire, so
@@ -49,7 +50,7 @@ func (rp *Replica) routeToOwner(svc *service.Server, w http.ResponseWriter, r *h
 		rp.serveLocalBudget(svc, w, r, body, id, deadline)
 		return
 	}
-	fwdTimeout := rp.f.cfg.ForwardTimeout
+	fwdTimeout := forwardTimeout
 	if remaining < fwdTimeout {
 		fwdTimeout = remaining
 	}

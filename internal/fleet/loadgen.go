@@ -21,8 +21,11 @@ import (
 // seed issue byte-identical request sequences; program popularity is
 // Zipf-distributed, so a cache has something to earn. Counts (status
 // codes, cache hits, forwards) are deterministic for a fixed seed in
-// sequential mode; latency and throughput are measured wall-clock and
-// belong in benchmark files, not golden ones.
+// sequential mode against a fleet with hedging off (Config.HedgeDelay
+// < 0): a hedge fires on wall-clock time, so under CPU contention it
+// can turn an owner's cache hit into a local recompute. Latency and
+// throughput are measured wall-clock and belong in benchmark files,
+// not golden ones.
 
 // Mix is the traffic mix in percent; it must sum to 100.
 type Mix struct {
@@ -51,7 +54,7 @@ type LoadgenConfig struct {
 	// Mix is the check/lint/refine traffic mix (default 60/30/10).
 	Mix Mix
 	// Concurrency is the closed-loop worker count (default 1:
-	// sequential, fully deterministic counts).
+	// sequential, deterministic counts when the fleet does not hedge).
 	Concurrency int
 	// TimeoutMS is the per-request timeout_ms field (default 30000).
 	TimeoutMS int64
@@ -122,14 +125,13 @@ type ReplicaLoad struct {
 
 	// Failure-domain counters: breaker transitions, hedged-forward
 	// races, and deadline-budget refusals observed by this replica.
-	BreakerOpens     int64    `json:"breaker_opens,omitempty"`
-	BreakerHalfOpens int64    `json:"breaker_half_opens,omitempty"`
-	BreakerSkips     int64    `json:"breaker_skips,omitempty"`
-	HedgesFired      int64    `json:"hedges_fired,omitempty"`
-	HedgeLocalWins   int64    `json:"hedge_local_wins,omitempty"`
-	HedgeWinRatio    float64  `json:"hedge_win_ratio,omitempty"`
-	BudgetExhausted  int64    `json:"budget_exhausted,omitempty"`
-	Quarantined      []string `json:"quarantined,omitempty"`
+	BreakerOpens     int64   `json:"breaker_opens,omitempty"`
+	BreakerHalfOpens int64   `json:"breaker_half_opens,omitempty"`
+	BreakerSkips     int64   `json:"breaker_skips,omitempty"`
+	HedgesFired      int64   `json:"hedges_fired,omitempty"`
+	HedgeLocalWins   int64   `json:"hedge_local_wins,omitempty"`
+	HedgeWinRatio    float64 `json:"hedge_win_ratio,omitempty"`
+	BudgetExhausted  int64   `json:"budget_exhausted,omitempty"`
 
 	// Journal carries last_seq, journal_depth, journal_batch_size_p50/p99,
 	// and the commit counters for event-sourced replicas.
@@ -137,7 +139,8 @@ type ReplicaLoad struct {
 }
 
 // LoadgenReport is the run's result. Every field above the latency
-// section is deterministic for a fixed seed when Concurrency is 1.
+// section is deterministic for a fixed seed when Concurrency is 1 and
+// the fleet does not hedge.
 type LoadgenReport struct {
 	Addrs    []string `json:"addrs"`
 	Requests int      `json:"requests"`
@@ -431,7 +434,6 @@ func fetchReplicaLoads(client *http.Client, addrs []string) []ReplicaLoad {
 			HedgesFired:      st.HedgesFired,
 			HedgeLocalWins:   st.HedgeLocalWins,
 			BudgetExhausted:  st.BudgetExhausted,
-			Quarantined:      st.Quarantined,
 		}
 		if total := st.CacheHits + st.CacheMisses; total > 0 {
 			rl.HitRatio = round4(float64(st.CacheHits) / float64(total))

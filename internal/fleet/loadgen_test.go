@@ -9,10 +9,12 @@ import (
 // Sequential loadgen with a fixed seed produces identical count
 // sections across fresh fleets — the property experiment E19 and
 // BENCH_fleet.json stand on. The run itself must see zero 5xx and a
-// warm cache must clear the 60% aggregate hit bar.
+// warm cache must clear the 60% aggregate hit bar. Hedging is off, as
+// in E19: a hedge fires on wall-clock time, so under CPU contention it
+// would make the counts depend on the scheduler.
 func TestLoadgenDeterministicCounts(t *testing.T) {
 	run := func() *LoadgenReport {
-		f := testFleet(t, 3, nil)
+		f := testFleet(t, 3, func(c *Config) { c.HedgeDelay = -1 })
 		rep, err := RunLoadgen(context.Background(), LoadgenConfig{
 			Addrs:    f.HTTPAddrs(),
 			Requests: 90,

@@ -32,13 +32,6 @@ type peer struct {
 	suspected bool
 	left      bool
 
-	// Flap quarantine: recovery timestamps inside FlapWindow, the
-	// offense count (doubles the hold), and the active hold if any.
-	flapTimes   []time.Time
-	quarantines int
-	quarantined bool
-	paroleAt    time.Time
-
 	// journalCursor is the peer journal sequence number anti-entropy
 	// has pulled through (journal mode only; reset on local restart).
 	journalCursor uint64
@@ -266,7 +259,7 @@ func (rp *Replica) handleForward(req rpcRequest) rpcReply {
 	if _, ok := service.RouteKind(http.MethodPost, req.Path); !ok {
 		return rpcReply{Err: fmt.Sprintf("path %q is not forwardable", req.Path)}
 	}
-	timeout := rp.f.cfg.ForwardTimeout
+	timeout := forwardTimeout
 	if req.TimeoutMS > 0 {
 		budget := time.Duration(req.TimeoutMS) * time.Millisecond
 		if budget < budgetFloor {
@@ -355,14 +348,13 @@ func (rp *Replica) closeConns() {
 // --- membership ---
 
 // livePeers snapshots the peers currently believed alive, sorted by
-// id. A quarantined peer is not alive for routing or anti-entropy
-// purposes even though it may be answering pings.
+// id.
 func (rp *Replica) livePeers() []*peer {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	out := make([]*peer, 0, len(rp.peers))
 	for _, p := range rp.peers {
-		if !p.suspected && !p.left && !p.quarantined && !rp.blocked[p.id] {
+		if !p.suspected && !p.left && !rp.blocked[p.id] {
 			out = append(out, p)
 		}
 	}
@@ -405,71 +397,39 @@ func (rp *Replica) heartbeatLoop(stop chan struct{}) {
 	}
 }
 
-// sweep pings every non-left, non-quarantined peer once, after first
-// paroling any quarantined peer whose hold has expired — parole and
-// the re-admitting ping can land in the same sweep.
+// sweep pings every non-left peer once.
 func (rp *Replica) sweep() {
 	timeout := rp.f.cfg.HeartbeatInterval
 	if timeout < 50*time.Millisecond {
 		timeout = 50 * time.Millisecond
 	}
-	rp.paroleDue()
 	for _, p := range rp.allPeers() {
-		rp.mu.Lock()
-		skip := p.quarantined
-		rp.mu.Unlock()
-		if skip {
-			continue
-		}
 		reply, err := rp.callPeer(p.id, rpcRequest{Op: "ping", From: rp.id}, timeout)
 		rp.noteHeartbeat(p.id, err == nil && reply.OK)
 	}
 }
 
-// paroleDue releases quarantined peers whose hold expired. A paroled
-// peer re-enters as suspected with misses pinned at the threshold: it
-// earns its way back into the ring with a real heartbeat, it is not
-// presumed recovered.
-func (rp *Replica) paroleDue() {
-	now := wallNow()
-	var paroled []string
-	rp.mu.Lock()
-	for _, p := range rp.peers {
-		if p.quarantined && !now.Before(p.paroleAt) {
-			p.quarantined = false
-			p.suspected = true
-			p.misses = rp.f.cfg.SuspectAfter
-			paroled = append(paroled, p.id)
-		}
-	}
-	rp.mu.Unlock()
-	sort.Strings(paroled)
-	for _, id := range paroled {
-		rp.f.mon.emit(KindParoled, id, rp.id, "hold expired")
-	}
-}
-
-// noteHeartbeat advances one peer's suspicion state: SuspectAfter
+// noteHeartbeat advances one peer's suspicion state: suspectAfter
 // consecutive misses removes the peer from the ring (its keys re-home
-// to the survivors); the first success re-admits it — unless the
-// recovery is one flap too many, in which case the peer is
-// quarantined instead.
+// to the survivors); the first success re-admits it.
 func (rp *Replica) noteHeartbeat(id string, ok bool) {
 	rp.mu.Lock()
 	p, known := rp.peers[id]
-	if !known || p.left || p.quarantined {
+	if !known || p.left {
 		rp.mu.Unlock()
 		return
 	}
-	var event, detail string
+	var event string
 	if ok {
 		p.misses = 0
 		if p.suspected {
-			event, detail = rp.admitPeerLocked(p)
+			p.suspected = false
+			rp.ring.Add(id)
+			event = KindReplicaRecovered
 		}
 	} else {
 		p.misses++
-		if !p.suspected && p.misses >= rp.f.cfg.SuspectAfter {
+		if !p.suspected && p.misses >= suspectAfter {
 			p.suspected = true
 			rp.ring.Remove(id)
 			event = KindReplicaSuspected
@@ -477,50 +437,11 @@ func (rp *Replica) noteHeartbeat(id string, ok bool) {
 	}
 	rp.mu.Unlock()
 	if event != "" {
-		rp.f.mon.emit(event, id, rp.id, detail)
+		rp.f.mon.emit(event, id, rp.id, "")
 	}
 }
 
-// admitPeerLocked re-admits a previously suspected peer, tracking the
-// recovery as a flap. More than FlapLimit recoveries inside FlapWindow
-// quarantines the peer instead: an exponential hold (doubling per
-// offense up to QuarantineHoldMax) during which the ring excludes it,
-// sweeps skip it, and inbound RPCs do not re-admit it. Returns the
-// event to emit after the lock drops.
-func (rp *Replica) admitPeerLocked(p *peer) (string, string) {
-	cfg := rp.f.cfg
-	p.suspected = false
-	if cfg.FlapLimit > 0 {
-		now := wallNow()
-		keep := p.flapTimes[:0]
-		for _, t := range p.flapTimes {
-			if now.Sub(t) <= cfg.FlapWindow {
-				keep = append(keep, t)
-			}
-		}
-		p.flapTimes = append(keep, now)
-		if len(p.flapTimes) > cfg.FlapLimit {
-			p.quarantines++
-			shift := p.quarantines - 1
-			hold := cfg.QuarantineHold << shift
-			if hold > cfg.QuarantineHoldMax || hold <= 0 {
-				hold = cfg.QuarantineHoldMax
-			}
-			p.quarantined = true
-			p.paroleAt = now.Add(hold)
-			p.flapTimes = nil
-			p.misses = 0
-			rp.ring.Remove(p.id)
-			return KindQuarantined, fmt.Sprintf("flaps=%d hold=%s", len(keep)+1, hold)
-		}
-	}
-	rp.ring.Add(p.id)
-	return KindReplicaRecovered, ""
-}
-
-// sawPeer treats any inbound RPC as liveness evidence. A quarantined
-// sender only clears its miss counter: quarantine is time-served, not
-// talked out of.
+// sawPeer treats any inbound RPC as liveness evidence.
 func (rp *Replica) sawPeer(id string) {
 	if id == "" {
 		return
@@ -531,22 +452,15 @@ func (rp *Replica) sawPeer(id string) {
 		rp.mu.Unlock()
 		return
 	}
-	if p.quarantined {
-		p.misses = 0
-		rp.mu.Unlock()
-		return
-	}
-	var event, detail string
 	p.misses = 0
-	if p.suspected {
-		event, detail = rp.admitPeerLocked(p)
-		if detail == "" {
-			detail = "inbound rpc"
-		}
+	recovered := p.suspected
+	if recovered {
+		p.suspected = false
+		rp.ring.Add(id)
 	}
 	rp.mu.Unlock()
-	if event != "" {
-		rp.f.mon.emit(event, id, rp.id, detail)
+	if recovered {
+		rp.f.mon.emit(KindReplicaRecovered, id, rp.id, "inbound rpc")
 	}
 }
 
@@ -621,8 +535,6 @@ type FleetzStatus struct {
 	HedgeForwardWins int64             `json:"hedge_forward_wins"`
 	BudgetExhausted  int64             `json:"budget_exhausted"`
 	BudgetRefused    int64             `json:"budget_refused"`
-	Quarantined      []string          `json:"quarantined,omitempty"` // peers currently held
-	Quarantines      int64             `json:"quarantines"`           // lifetime offenses observed
 
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
@@ -631,9 +543,9 @@ type FleetzStatus struct {
 	JournalLastSeq uint64 `json:"journal_last_seq,omitempty"`
 }
 
-// resilienceSnapshot aggregates the breaker/hedge/budget/quarantine
-// counters across this replica's peers. It backs both /fleetz and the
-// service's /metrics "fleet" section (installed via
+// resilienceSnapshot aggregates the breaker/hedge/budget counters
+// across this replica's peers. It backs both /fleetz and the service's
+// /metrics "fleet" section (installed via
 // service.Config.ResilienceMetrics, so the service never imports the
 // fleet).
 func (rp *Replica) resilienceSnapshot() *service.FleetResilienceSnapshot {
@@ -646,13 +558,8 @@ func (rp *Replica) resilienceSnapshot() *service.FleetResilienceSnapshot {
 		snap.BreakerHalfOpens += st.halfOpens
 		snap.BreakerCloses += st.closes
 		snap.BreakerSkips += st.skips
-		if p.quarantined {
-			snap.Quarantined = append(snap.Quarantined, id)
-		}
-		snap.Quarantines += int64(p.quarantines)
 	}
 	rp.mu.Unlock()
-	sort.Strings(snap.Quarantined)
 	snap.HedgesFired = rp.hedgesFired.Load()
 	snap.HedgeLocalWins = rp.hedgeLocalWins.Load()
 	snap.HedgeForwardWins = rp.hedgeForwardWins.Load()
@@ -693,8 +600,6 @@ func (rp *Replica) Status() FleetzStatus {
 	st.HedgeForwardWins = res.HedgeForwardWins
 	st.BudgetExhausted = res.BudgetExhausted
 	st.BudgetRefused = res.BudgetRefused
-	st.Quarantined = res.Quarantined
-	st.Quarantines = res.Quarantines
 	if svc := rp.Service(); svc != nil {
 		st.CacheHits, st.CacheMisses = svc.CacheStats()
 		st.JournalLastSeq = svc.JournalLastSeq()

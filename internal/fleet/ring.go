@@ -25,7 +25,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over replica ids. Each member
-// projects VNodes points onto a 64-bit circle; a key is owned by the
+// projects vnodes points onto a 64-bit circle; a key is owned by the
 // member of the first point clockwise of the key's hash. The
 // projection is pure (SHA-256 of member id and vnode index), so every
 // replica that agrees on the member set agrees on every owner — there

@@ -71,7 +71,7 @@ type rpcReply struct {
 }
 
 // maxReplyEntries bounds the Entries a digest or journal reply may
-// declare. The real ceiling is MaxPullPerRound (≤ a few thousand);
+// declare. The real ceiling is maxPullPerRound (256);
 // anything near a million entries in one round is a hostile peer.
 const maxReplyEntries = 1 << 20
 

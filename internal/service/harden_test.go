@@ -135,6 +135,20 @@ func TestPoolPanicBackstop(t *testing.T) {
 	}
 }
 
+// TestPoolSubmitAfterClose: a handler that outlives its server's Close
+// (a fleet replica crashing mid-request) gets a refusal from submit,
+// not a send on the closed queue.
+func TestPoolSubmitAfterClose(t *testing.T) {
+	p := newPool(1, 4)
+	p.close()
+	if p.submit(&job{ctx: context.Background(), run: func(context.Context) {}}) {
+		t.Fatal("closed pool accepted a job")
+	}
+	if d := p.depth.Load(); d != 0 {
+		t.Fatalf("depth after refused submit = %d, want 0", d)
+	}
+}
+
 // TestServiceProtocolParamsAreBadRequests: every endpoint that builds a
 // simulator protocol from a family name answers a kstate counter
 // modulus below 2, or an unknown family, with 400 rather than a panic's

@@ -188,7 +188,4 @@ type FleetResilienceSnapshot struct {
 	// (client view) and forwards this replica refused as owner.
 	BudgetExhausted int64 `json:"budget_exhausted"`
 	BudgetRefused   int64 `json:"budget_refused"`
-	// Quarantine: peers currently held, and lifetime offenses.
-	Quarantined []string `json:"quarantined,omitempty"`
-	Quarantines int64    `json:"quarantines"`
 }

@@ -20,6 +20,11 @@ type job struct {
 // Jobs whose context died while queued are skipped, not run — an
 // abandoned request costs a queue slot, never a worker.
 type pool struct {
+	// mu orders submit against close: a handler still running when the
+	// server closes (a fleet replica crashing under load) must not send
+	// on the closed queue.
+	mu       sync.RWMutex
+	closed   bool
 	queue    chan *job
 	wg       sync.WaitGroup
 	depth    atomic.Int64 // jobs queued, not yet picked up
@@ -63,8 +68,14 @@ func (p *pool) runOne(j *job) {
 	j.run(j.ctx)
 }
 
-// submit enqueues without blocking. false means the queue is full.
+// submit enqueues without blocking. false means the queue is full or
+// the pool is closed.
 func (p *pool) submit(j *job) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return false
+	}
 	p.depth.Add(1)
 	select {
 	case p.queue <- j:
@@ -78,6 +89,9 @@ func (p *pool) submit(j *job) bool {
 // close drains the queue and stops the workers. Queued jobs still run
 // (their contexts typically die first during shutdown).
 func (p *pool) close() {
+	p.mu.Lock()
+	p.closed = true
 	close(p.queue)
+	p.mu.Unlock()
 	p.wg.Wait()
 }
