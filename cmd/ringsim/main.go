@@ -170,7 +170,7 @@ func run(args []string, out io.Writer) error {
 // buildProtocol is sim.NewProtocol with errors that name the CLI flag.
 // Every subcommand rejects -p < 3 before calling it, so any other error
 // is kstate's -k.
-func buildProtocol(name string, p, k int) (sim.Protocol, error) {
+func buildProtocol(name string, p, k int) (*sim.Protocol, error) {
 	proto, err := sim.NewProtocol(name, p, k)
 	switch {
 	case errors.Is(err, sim.ErrUnknownFamily):

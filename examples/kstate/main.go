@@ -42,7 +42,10 @@ func run() error {
 
 	// Live goroutine ring at a comfortable size.
 	const procs = 10
-	proto := repro.SimKState(procs, procs)
+	proto, err := repro.NewProtocol("kstate", procs, procs)
+	if err != nil {
+		return err
+	}
 	legit, err := sim.LegitimateConfig(proto)
 	if err != nil {
 		return err

@@ -25,7 +25,10 @@ func main() {
 
 func run() error {
 	const procs, steps = 9, 3000
-	proto := repro.SimDijkstra3(procs)
+	proto, err := repro.NewProtocol("dijkstra3", procs, 0)
+	if err != nil {
+		return err
+	}
 	legit, err := sim.LegitimateConfig(proto)
 	if err != nil {
 		return err

@@ -38,7 +38,10 @@ func run() error {
 	}
 
 	// 2. Simulation: corrupt a legitimate ring and watch it converge.
-	proto := repro.SimDijkstra3(8)
+	proto, err := repro.NewProtocol("dijkstra3", 8, 0)
+	if err != nil {
+		return err
+	}
 	legit, err := sim.LegitimateConfig(proto)
 	if err != nil {
 		return err

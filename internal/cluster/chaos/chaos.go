@@ -41,7 +41,7 @@ type SLO struct {
 // Options configures one campaign.
 type Options struct {
 	// Proto is the ring protocol under test (required).
-	Proto sim.Protocol
+	Proto *sim.Protocol
 	// NewTransport builds one transport per episode; nil means the
 	// deterministic stepped in-proc transport. Each episode gets a fresh
 	// transport, closed when the episode ends.
@@ -141,7 +141,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.MaxSteps <= 0 {
 		return nil, fmt.Errorf("chaos: MaxSteps must be positive, got %d", opts.MaxSteps)
 	}
-	if err := opts.Template.validate(p); err != nil {
+	if err := opts.Template.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.StorageFaultEvery > 0 && !opts.Persist {
@@ -176,7 +176,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 }
 
 // runEpisode generates, runs, and judges one episode.
-func runEpisode(ctx context.Context, opts Options, p sim.Protocol, legit sim.Config, e int) (*Episode, string, error) {
+func runEpisode(ctx context.Context, opts Options, p *sim.Protocol, legit sim.Config, e int) (*Episode, string, error) {
 	seed := episodeSeed(opts.Seed, e)
 	sched := opts.Template.instantiate(p, schedRNG(seed))
 	var tr cluster.Transport

@@ -11,9 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
+// newProto builds a protocol family the tests know to be valid.
+func newProto(family string, p, k int) *sim.Protocol {
+	proto, err := sim.NewProtocol(family, p, k)
+	if err != nil {
+		panic(err)
+	}
+	return proto
+}
+
 func baseOptions() Options {
 	return Options{
-		Proto:    sim.NewDijkstra3(5),
+		Proto:    newProto("dijkstra3", 5, 0),
 		Seed:     42,
 		Episodes: 6,
 		MaxSteps: 5000,
@@ -180,7 +189,7 @@ func TestRunSweep(t *testing.T) {
 }
 
 func TestTemplateValidate(t *testing.T) {
-	p := sim.NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	bad := []Template{
 		{},
 		{Kinds: []cluster.FaultKind{"melt"}, Faults: 1, Gap: 1, Start: 1},
@@ -189,7 +198,7 @@ func TestTemplateValidate(t *testing.T) {
 		{Kinds: []cluster.FaultKind{cluster.FaultPartition}, Faults: 1, Gap: 1, Start: 1}, // no cut duration
 	}
 	for i, tpl := range bad {
-		if err := tpl.validate(p); err == nil {
+		if err := tpl.Validate(); err == nil {
 			t.Errorf("template %d (%+v) accepted", i, tpl)
 		}
 	}
@@ -200,7 +209,7 @@ func TestTemplateValidate(t *testing.T) {
 			cluster.FaultPartition, cluster.FaultIsolate},
 		Faults: 20, Gap: 10, Start: 5, CutDuration: 15,
 	}
-	if err := good.validate(p); err != nil {
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 20; seed++ {
@@ -231,7 +240,7 @@ func TestPercentiles(t *testing.T) {
 // byte-deterministic on the stepped transport.
 func TestCampaignCrashFaults(t *testing.T) {
 	opts := Options{
-		Proto:    sim.NewDijkstra3(5),
+		Proto:    newProto("dijkstra3", 5, 0),
 		Seed:     9,
 		Episodes: 6,
 		MaxSteps: 5000,
@@ -300,7 +309,7 @@ func TestCampaignCrashFaults(t *testing.T) {
 // episodes through regardless.
 func TestCampaignDiskPressure(t *testing.T) {
 	opts := Options{
-		Proto:    sim.NewDijkstra3(5),
+		Proto:    newProto("dijkstra3", 5, 0),
 		Seed:     17,
 		Episodes: 4,
 		MaxSteps: 5000,

@@ -59,14 +59,11 @@ func (t Template) hasCuts() bool {
 	return false
 }
 
-// Validate checks the template against a protocol: known kinds,
-// positive density/gap/start, a cut duration when the mix includes
-// partition or isolate. Run calls it; services can call it up front to
-// classify template mistakes as client errors.
-func (t Template) Validate(p sim.Protocol) error { return t.validate(p) }
-
-// validate checks the template against a protocol.
-func (t Template) validate(p sim.Protocol) error {
+// Validate checks the template: known kinds, positive
+// density/gap/start, a cut duration when the mix includes partition or
+// isolate. Run calls it; services can call it up front to classify
+// template mistakes as client errors.
+func (t Template) Validate() error {
 	if len(t.Kinds) == 0 {
 		return fmt.Errorf("chaos: template needs at least one fault kind")
 	}
@@ -89,14 +86,8 @@ func (t Template) validate(p sim.Protocol) error {
 	if t.Start < 1 {
 		return fmt.Errorf("chaos: template needs start ≥ 1, got %d", t.Start)
 	}
-	if t.hasCuts() {
-		if t.CutDuration < 1 {
-			return fmt.Errorf("chaos: kind mix includes cuts but cut duration is %d", t.CutDuration)
-		}
-		if p.Procs() < 2 {
-			return fmt.Errorf("chaos: partition/isolate need at least 2 processes, protocol %q has %d",
-				p.Name(), p.Procs())
-		}
+	if t.hasCuts() && t.CutDuration < 1 {
+		return fmt.Errorf("chaos: kind mix includes cuts but cut duration is %d", t.CutDuration)
 	}
 	return nil
 }
@@ -106,7 +97,7 @@ func (t Template) validate(p sim.Protocol) error {
 // seeded-random targets: a node for corrupt/stall/restart/isolate, a
 // ring-neighbor link for drop/dup/delay, a contiguous two-arc cut for
 // partition. The result always passes cluster.ValidateSchedule.
-func (t Template) instantiate(p sim.Protocol, rng *rand.Rand) []cluster.Fault {
+func (t Template) instantiate(p *sim.Protocol, rng *rand.Rand) []cluster.Fault {
 	procs := p.Procs()
 	sched := make([]cluster.Fault, 0, t.Faults)
 	for i := 0; i < t.Faults; i++ {

@@ -46,7 +46,7 @@ func persistInterval(opts Options) int {
 // Options configures one cluster episode.
 type Options struct {
 	// Proto is the ring protocol to execute (required).
-	Proto sim.Protocol
+	Proto *sim.Protocol
 	// Transport connects the nodes; nil means a fresh in-proc
 	// ChanTransport (owned and closed by Run).
 	Transport Transport

@@ -9,6 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
+// newProto builds a protocol family the tests know to be valid.
+func newProto(family string, p, k int) *sim.Protocol {
+	proto, err := sim.NewProtocol(family, p, k)
+	if err != nil {
+		panic(err)
+	}
+	return proto
+}
+
 // faultEpisode is the acceptance scenario shared by several tests and
 // the golden test: dijkstra3 on 5 nodes, a perturbed start, and one
 // mid-run register corruption at step 40.
@@ -18,7 +27,7 @@ func faultEpisode() (Options, sim.Config) {
 		panic(err)
 	}
 	return Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           6,
 		MaxSteps:       2000,
 		Schedule:       sched,
@@ -94,7 +103,7 @@ func TestSteppedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           11,
 		MaxSteps:       500,
 		Schedule:       sched,
@@ -130,7 +139,7 @@ func TestSteppedPartitionHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           3,
 		MaxSteps:       5000,
 		Schedule:       sched,
@@ -180,7 +189,7 @@ func TestSteppedIsolateRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           7,
 		MaxSteps:       5000,
 		Schedule:       sched,
@@ -237,7 +246,7 @@ func TestStallFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), Options{
-		Proto:    sim.NewDijkstra3(5),
+		Proto:    newProto("dijkstra3", 5, 0),
 		Seed:     2,
 		MaxSteps: 300, // entirely inside the stall window
 		Schedule: sched,
@@ -261,7 +270,7 @@ func TestRestartFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), Options{
-		Proto:       sim.NewDijkstra3(5),
+		Proto:       newProto("dijkstra3", 5, 0),
 		Seed:        4,
 		MaxSteps:    400,
 		Schedule:    sched,
@@ -288,11 +297,11 @@ func TestRestartFault(t *testing.T) {
 // TestEveryProtocolConvergesInProc runs each protocol family once over
 // the stepped engine from a perturbed start.
 func TestEveryProtocolConvergesInProc(t *testing.T) {
-	protos := []sim.Protocol{
-		sim.NewDijkstra3(5),
-		sim.NewDijkstra4(5),
-		sim.NewKState(5, 5),
-		sim.NewNewThree(5),
+	protos := []*sim.Protocol{
+		newProto("dijkstra3", 5, 0),
+		newProto("dijkstra4", 5, 0),
+		newProto("kstate", 5, 5),
+		newProto("newthree", 5, 0),
 	}
 	for _, p := range protos {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -321,7 +330,7 @@ func TestEveryProtocolConvergesInProc(t *testing.T) {
 
 // TestRunValidation exercises the argument checks.
 func TestRunValidation(t *testing.T) {
-	p := sim.NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	good := sim.Config{0, 0, 0, 0, 0}
 	cases := []struct {
 		name    string
@@ -353,7 +362,7 @@ func TestRunValidation(t *testing.T) {
 func TestSteppedHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Options{Proto: sim.NewDijkstra3(5), Seed: 1, MaxSteps: 1000},
+	_, err := Run(ctx, Options{Proto: newProto("dijkstra3", 5, 0), Seed: 1, MaxSteps: 1000},
 		sim.Config{0, 1, 2, 1, 0})
 	if err == nil {
 		t.Fatal("want context error")

@@ -235,7 +235,7 @@ func parseNodeList(s string) ([]int, error) {
 
 // ValidateSchedule checks every fault's targets against a protocol:
 // node indices in range, corrupt values in the target's domain.
-func ValidateSchedule(p sim.Protocol, schedule []Fault) error {
+func ValidateSchedule(p *sim.Protocol, schedule []Fault) error {
 	procs := p.Procs()
 	for _, f := range schedule {
 		switch f.Kind {

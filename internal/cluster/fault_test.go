@@ -3,8 +3,6 @@ package cluster
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestParseSchedule(t *testing.T) {
@@ -132,7 +130,7 @@ func TestParseScheduleErrors(t *testing.T) {
 }
 
 func TestValidateSchedule(t *testing.T) {
-	p := sim.NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	ok, err := ParseSchedule("corrupt@5:node=1,val=2;drop@6:link=0>1")
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ type Stabilization struct {
 // scheduler loop and the free-running engine from its single collector
 // goroutine.
 type Monitor struct {
-	proto       sim.Protocol
+	proto       *sim.Protocol
 	view        sim.Config
 	legit       bool
 	brokenAt    int
@@ -76,7 +76,7 @@ type Monitor struct {
 
 // newMonitor starts monitoring from the initial configuration,
 // emitting the "start" event.
-func newMonitor(p sim.Protocol, initial sim.Config, recordMoves bool) *Monitor {
+func newMonitor(p *sim.Protocol, initial sim.Config, recordMoves bool) *Monitor {
 	m := &Monitor{proto: p, view: initial.Clone(), crashed: make(map[int]bool), recordMoves: recordMoves}
 	m.radix = make([]int, p.Procs())
 	size := 1

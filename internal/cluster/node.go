@@ -70,7 +70,7 @@ type moveReport struct {
 type node struct {
 	id    int
 	procs int
-	proto sim.Protocol
+	proto *sim.Protocol
 	tr    Transport
 	rng   *rand.Rand
 
@@ -88,7 +88,7 @@ type node struct {
 	reports chan moveReport // free-running engine only
 }
 
-func newNode(id int, proto sim.Protocol, tr Transport, seed int64, initial int) *node {
+func newNode(id int, proto *sim.Protocol, tr Transport, seed int64, initial int) *node {
 	procs := proto.Procs()
 	return &node{
 		id:       id,

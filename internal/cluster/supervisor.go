@@ -36,7 +36,7 @@ const (
 // All randomness is drawn from the engine's seeded rng, and only on
 // crash events, so runs without crash faults replay byte-identically.
 type supervisor struct {
-	proto sim.Protocol
+	proto *sim.Protocol
 	st    *store.Store
 	rng   *rand.Rand
 	mon   *Monitor
@@ -47,7 +47,7 @@ type supervisor struct {
 	flagged   []bool // crash loop already reported for this burst
 }
 
-func newSupervisor(proto sim.Protocol, st *store.Store, rng *rand.Rand, mon *Monitor) *supervisor {
+func newSupervisor(proto *sim.Protocol, st *store.Store, rng *rand.Rand, mon *Monitor) *supervisor {
 	procs := proto.Procs()
 	s := &supervisor{
 		proto:     proto,

@@ -17,7 +17,7 @@ func crashEpisode(st *store.Store, persistEvery int) (Options, sim.Config) {
 		panic(err)
 	}
 	return Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           11,
 		MaxSteps:       2000,
 		Schedule:       sched,
@@ -142,7 +142,7 @@ func TestCrashLoopDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           3,
 		MaxSteps:       3000,
 		Schedule:       sched,
@@ -197,7 +197,7 @@ func TestCrashDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{
-			Proto:          sim.NewDijkstra3(5),
+			Proto:          newProto("dijkstra3", 5, 0),
 			Seed:           21,
 			MaxSteps:       2500,
 			Schedule:       sched,
@@ -233,7 +233,7 @@ func TestCrashedNodeIgnoresStateFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Proto:          sim.NewDijkstra3(5),
+		Proto:          newProto("dijkstra3", 5, 0),
 		Seed:           13,
 		MaxSteps:       2000,
 		Schedule:       sched,

@@ -180,7 +180,7 @@ func TestTCPHostileNonJSONFrame(t *testing.T) {
 // mid-episode partition plus a corruption behind the cut, and asserts
 // the ring re-stabilizes after the timed heal.
 func TestTCPPartitionHeal(t *testing.T) {
-	p := sim.NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	tr, err := NewTCPTransport(p.Procs())
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTCPPartitionHeal(t *testing.T) {
 // ring of 5 nodes over 127.0.0.1 sockets converges from a perturbed
 // start within the step budget.
 func TestTCPLoopbackRingConverges(t *testing.T) {
-	p := sim.NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	tr, err := NewTCPTransport(p.Procs())
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestTCPLoopbackRingConverges(t *testing.T) {
 // TestTCPRingWithFault injects a register corruption into a ring of 3
 // nodes mid-run and expects recovery.
 func TestTCPRingWithFault(t *testing.T) {
-	p := sim.NewDijkstra3(3)
+	p := newProto("dijkstra3", 3, 0)
 	tr, err := NewTCPTransport(p.Procs())
 	if err != nil {
 		t.Fatal(err)

@@ -99,12 +99,12 @@ func E11Convergence() *Report {
 		Notes: []string{"series: mean steps over 100 seeded runs, random central daemon, faults = P"},
 	}
 	const runs, maxSteps = 100, 100000
-	protos := func(p int) []sim.Protocol {
-		return []sim.Protocol{
-			sim.NewDijkstra3(p),
-			sim.NewDijkstra4(p),
-			sim.NewKState(p, p),
-			sim.NewNewThree(p),
+	protos := func(p int) []*sim.Protocol {
+		return []*sim.Protocol{
+			protocol("dijkstra3", p, 0),
+			protocol("dijkstra4", p, 0),
+			protocol("kstate", p, p),
+			protocol("newthree", p, 0),
 		}
 	}
 	var prevMean float64
@@ -127,7 +127,7 @@ func E11Convergence() *Report {
 	// Fault-count sweep at fixed size.
 	const p = 8
 	for _, faults := range []int{1, 2, 4, 8} {
-		stats, err := sim.MeasureConvergence(sim.NewDijkstra3(p),
+		stats, err := sim.MeasureConvergence(protocol("dijkstra3", p, 0),
 			func(run int) sim.Daemon { return sim.NewRandomDaemon(int64(run)) },
 			runs, faults, maxSteps, 17)
 		if err != nil {
@@ -166,9 +166,9 @@ func E11Convergence() *Report {
 	}{
 		{"random", func(run int) sim.Daemon { return sim.NewRandomDaemon(int64(run)) }},
 		{"round-robin", func(run int) sim.Daemon { return sim.NewRoundRobinDaemon(p) }},
-		{"greedy-adversary", func(run int) sim.Daemon { return sim.NewGreedyDaemon(sim.NewDijkstra3(p)) }},
+		{"greedy-adversary", func(run int) sim.Daemon { return sim.NewGreedyDaemon(protocol("dijkstra3", p, 0)) }},
 	} {
-		stats, err := sim.MeasureConvergence(sim.NewDijkstra3(p), mk.fn, runs, p, maxSteps, 23)
+		stats, err := sim.MeasureConvergence(protocol("dijkstra3", p, 0), mk.fn, runs, p, maxSteps, 23)
 		if err != nil {
 			r.Rows = append(r.Rows, Row{Name: mk.name, Detail: err.Error()})
 			continue
@@ -192,13 +192,13 @@ func E12WrapperInterference() *Report {
 		Claim: "between consecutive W1'' firings the system sheds tokens; W1'' cannot fire infinitely often",
 	}
 	const p, maxSteps = 7, 50000
-	proto := sim.NewNewThree(p)
+	proto := protocol("newthree", p, 0)
 
 	// In the all-equal (token-free middles) configuration, W1'' is the
 	// only enabled rule: token regeneration is exactly its job.
 	allEqual := make(sim.Config, p)
 	moves := sim.EnabledMoves(proto, allEqual)
-	onlyW1 := len(moves) == 1 && moves[0].Rule == "W1''"
+	onlyW1 := len(moves) == 1 && moves[0].Rule == "W1pp"
 	r.Rows = append(r.Rows, expectRow("all-equal: only W1'' enabled", onlyW1, true,
 		fmt.Sprintf("%d moves enabled", len(moves))))
 
@@ -218,7 +218,7 @@ func E12WrapperInterference() *Report {
 			r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("seed=%d", seed), Detail: err.Error()})
 			continue
 		}
-		w1, w2 := res.RuleFires["W1''"], res.RuleFires["W2'"]
+		w1, w2 := res.RuleFires["W1pp"], res.RuleFires["W2p"]
 		totalW1 += w1
 		totalW2 += w2
 		r.Rows = append(r.Rows, expectRow(
@@ -230,6 +230,16 @@ func E12WrapperInterference() *Report {
 		totalW1 >= 1 && totalW2 >= 1, true,
 		fmt.Sprintf("ΣW1''=%d ΣW2'=%d", totalW1, totalW2)))
 	return r
+}
+
+// protocol builds a simulator protocol from parameters known to be
+// valid.
+func protocol(family string, p, k int) *sim.Protocol {
+	proto, err := sim.NewProtocol(family, p, k)
+	if err != nil {
+		panic(err)
+	}
+	return proto
 }
 
 // newSeededRand builds a deterministic random source for experiment runs.

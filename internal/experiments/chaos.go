@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/chaos"
-	"repro/internal/sim"
 )
 
 // E17ChaosCampaign is the fourth extension experiment: sustained fault
@@ -25,7 +24,7 @@ func E17ChaosCampaign() *Report {
 		Title: "Extension: recovery under sustained fault pressure and partitions (chaos campaigns)",
 		Claim: "the derived ring re-stabilizes from every episode of a seeded fault campaign — including network partitions — and recovery time stays bounded as fault pressure rises",
 	}
-	p := sim.NewDijkstra3(6)
+	p := protocol("dijkstra3", 6, 0)
 	base := chaos.Options{
 		Proto:    p,
 		Seed:     17,

@@ -23,7 +23,7 @@ func E16ClusterRecovery() *Report {
 		Title: "Extension: fault-recovery curve in the message-passing cluster runtime",
 		Claim: "the derived ring re-stabilizes after simultaneous register corruptions even when processes communicate only by messages",
 	}
-	p := sim.NewDijkstra3(6)
+	p := protocol("dijkstra3", 6, 0)
 	legit, err := sim.LegitimateConfig(p)
 	if err != nil {
 		r.Rows = append(r.Rows, Row{Name: "legitimate start", Detail: err.Error()})

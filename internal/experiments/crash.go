@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/chaos"
 	"repro/internal/cluster/store"
-	"repro/internal/sim"
 )
 
 // E18CrashRecovery is the fifth extension experiment: process crashes
@@ -27,7 +26,7 @@ func E18CrashRecovery() *Report {
 		Title: "Extension: crash recovery from validated snapshots vs arbitrary resume",
 		Claim: "a crashed node recovers whether its snapshot is fresh, stale, corrupted, or absent — the store only shifts where recovery restarts from, never whether the ring re-stabilizes",
 	}
-	p := sim.NewDijkstra3(6)
+	p := protocol("dijkstra3", 6, 0)
 	base := chaos.Options{
 		Proto:    p,
 		Seed:     18,

@@ -31,10 +31,10 @@ func NewThreeState(n int) *ThreeState {
 	t.Space = spaceOf(t.decls)
 	var tokens []string
 	for j := 1; j <= n; j++ {
-		tokens = append(tokens, t.up(j))
+		tokens = append(tokens, up3(j))
 	}
 	for j := 0; j < n; j++ {
-		tokens = append(tokens, t.down(j))
+		tokens = append(tokens, down3(j))
 	}
 	t.unique = count(tokens) + " == 1"
 	return t
@@ -43,9 +43,9 @@ func NewThreeState(n int) *ThreeState {
 // inc3 is ⊕1 modulo 3.
 func inc3(x int) int { return (x + 1) % 3 }
 
-// up and down are the mapped ↑t.j and ↓t.j as GCL expressions.
-func (t *ThreeState) up(j int) string   { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j-1, j) }
-func (t *ThreeState) down(j int) string { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j+1, j) }
+// up3 and down3 are the mapped ↑t.j and ↓t.j as GCL expressions.
+func up3(j int) string   { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j-1, j) }
+func down3(j int) string { return fmt.Sprintf("c%d == (c%d + 1) %% 3", j+1, j) }
 
 // HasUpToken evaluates the mapped ↑t.j (j in 1..N).
 func (t *ThreeState) HasUpToken(v system.Vals, j int) bool {
@@ -96,11 +96,11 @@ func (t *ThreeState) Abstraction(b *BTR) (*system.Abstraction, error) {
 func (t *ThreeState) ring(up, down func(j int) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%sinit %s;\n", t.decls, t.unique)
-	fmt.Fprintf(&b, "action top: %s -> c%d := (c%d + 1) %% 3;\n", t.up(t.N), t.N, t.N-1)
-	fmt.Fprintf(&b, "action bottom: %s -> c0 := (c1 + 1) %% 3;\n", t.down(0))
+	fmt.Fprintf(&b, "action top: %s -> c%d := (c%d + 1) %% 3;\n", up3(t.N), t.N, t.N-1)
+	fmt.Fprintf(&b, "action bottom: %s -> c0 := (c1 + 1) %% 3;\n", down3(0))
 	for j := 1; j < t.N; j++ {
-		fmt.Fprintf(&b, "action up%d: %s -> %s;\n", j, t.up(j), up(j))
-		fmt.Fprintf(&b, "action down%d: %s -> %s;\n", j, t.down(j), down(j))
+		fmt.Fprintf(&b, "action up%d: %s -> %s;\n", j, up3(j), up(j))
+		fmt.Fprintf(&b, "action down%d: %s -> %s;\n", j, down3(j), down(j))
 	}
 	return b.String()
 }
@@ -156,12 +156,12 @@ func (t *ThreeState) C3() *system.System {
 //
 //	c.(N−1) = c.0 ∧ c.N ≠ c.(N−1)⊕1 → c.N := c.(N−1)⊕1
 func (t *ThreeState) W1DoublePrime() *system.System {
-	return wrapper(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+t.w1DoublePrime())
+	return wrapper(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+w1DoublePrime(t.N))
 }
 
-func (t *ThreeState) w1DoublePrime() string {
+func w1DoublePrime(n int) string {
 	return fmt.Sprintf("action W1pp: c%d == c0 && c%d != (c%d + 1) %% 3 -> c%d := (c%d + 1) %% 3;\n",
-		t.N-1, t.N, t.N-1, t.N, t.N-1)
+		n-1, n, n-1, n, n-1)
 }
 
 // W1PrimeGlobal is the global wrapper W1′ of Section 5.1, the direct image
@@ -188,7 +188,7 @@ func (t *ThreeState) W2Prime() *system.System {
 func (t *ThreeState) w2Prime() string {
 	var b strings.Builder
 	for j := 1; j < t.N; j++ {
-		fmt.Fprintf(&b, "action W2p_%d: %s && %s -> c%d := c%d;\n", j, t.up(j), t.down(j), j, j-1)
+		fmt.Fprintf(&b, "action W2p_%d: %s && %s -> c%d := c%d;\n", j, up3(j), down3(j), j, j-1)
 	}
 	return b.String()
 }
@@ -198,7 +198,7 @@ func (t *ThreeState) w2Prime() string {
 // guarded command is a distinct schedulable action.
 func (t *ThreeState) Lemma9Labeled() *system.LabeledSystem {
 	_, btr3 := compileLabeled(fmt.Sprintf("BTR3(N=%d)", t.N), t.btr3())
-	_, w1 := compileLabeled(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+"init false;\n"+t.w1DoublePrime())
+	_, w1 := compileLabeled(fmt.Sprintf("W1''(N=%d)", t.N), t.decls+"init false;\n"+w1DoublePrime(t.N))
 	_, w2 := compileLabeled(fmt.Sprintf("W2'(N=%d)", t.N), t.decls+"init false;\n"+t.w2Prime())
 	return system.PriorityBoxLabeled(system.BoxLabeled(btr3, w1), w2)
 }

@@ -193,15 +193,27 @@ func (f *FourState) btr4(neighborWrites bool, init string) string {
 }
 
 // Dijkstra4 is Dijkstra's 4-state stabilizing token-ring system, obtained
-// in Section 4.2 by relaxing the guards of (C1 [] W1′ [] W2′):
+// in Section 4.2 by relaxing the guards of (C1 [] W1′ [] W2′)
+// (Dijkstra4GCL's actions, with LegitStates initial):
 //
 //	c.(N−1) ≠ c.N                      → c.N := c.(N−1)
 //	c.1 = c.0 ∧ ¬up.1                  → c.0 := ¬c.0
 //	c.(j−1) ≠ c.j                      → c.j := c.(j−1); up.j := true
 //	c.(j+1) = c.j ∧ ¬up.(j+1) ∧ up.j   → up.j := false
 func (f *FourState) Dijkstra4() *system.System {
+	return compile(fmt.Sprintf("Dijkstra4(N=%d)", f.N), Dijkstra4GCL(f.N)).WithInit(f.LegitStates())
+}
+
+// Dijkstra4GCL emits Dijkstra's 4-state system for top index n as
+// guarded-command source, starting from the all-false configuration.
+func Dijkstra4GCL(n int) string {
+	if n < 2 {
+		panic(fmt.Sprintf("ring: Dijkstra4GCL needs N ≥ 2, got %d", n))
+	}
+	f := &FourState{N: n} // no Space: upVar needs N alone
+	vars := append(names("c", 0, n), names("up", 1, n-1)...)
 	var b strings.Builder
-	b.WriteString(bools(f.vars))
+	b.WriteString(bools(vars) + "init !" + strings.Join(vars, " && !") + ";\n")
 	fmt.Fprintf(&b, "action top: c%d != c%d -> c%d := c%d;\n", f.N-1, f.N, f.N, f.N-1)
 	fmt.Fprintf(&b, "action bottom: c1 == c0 && !%s -> c0 := !c0;\n", f.upVar(1))
 	for j := 1; j < f.N; j++ {
@@ -209,7 +221,7 @@ func (f *FourState) Dijkstra4() *system.System {
 		fmt.Fprintf(&b, "action down%d: c%d == c%d && !%s && up%d -> up%d := false;\n",
 			j, j+1, j, f.upVar(j+1), j, j)
 	}
-	return compile(fmt.Sprintf("Dijkstra4(N=%d)", f.N), b.String()).WithInit(f.LegitStates())
+	return b.String()
 }
 
 // W1Prime is the mapped wrapper W1′ of Section 4.1. Its guard already

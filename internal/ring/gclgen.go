@@ -149,6 +149,27 @@ func aggressiveThreeGCL(n int, init string) string {
 	return b.String()
 }
 
+// NewThreeGCL emits Section 6's new 3-state system for top index n: C3's
+// own-write token passing, W1″ at the top, and W2′ preempting a middle
+// process's passing actions at that process only, not globally as in
+// ThreeState.NewThree (so, for N ≥ 3, with more transitions).
+func NewThreeGCL(n int) string {
+	if n < 2 {
+		panic(fmt.Sprintf("ring: NewThreeGCL needs N ≥ 2, got %d", n))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "// Section 6's new 3-state token ring with local W2' priority, N = %d.\n", n)
+	fmt.Fprintf(&b, "%s\ninit %s;\n\n", counters("c", n, 3), allZero("c", n))
+	fmt.Fprintf(&b, "action bottom: %s -> c0 := (c1 + 1) %% 3;\n", down3(0))
+	for j := 1; j < n; j++ {
+		fmt.Fprintf(&b, "action up%d: %s && !(%s) -> c%d := (c%d + 1) %% 3;\n", j, up3(j), down3(j), j, j+1)
+		fmt.Fprintf(&b, "action down%d: %s && !(%s) -> c%d := (c%d + 1) %% 3;\n", j, down3(j), up3(j), j, j-1)
+		fmt.Fprintf(&b, "action W2p%d: %s && %s -> c%d := c%d;\n", j, up3(j), down3(j), j, j-1)
+	}
+	fmt.Fprintf(&b, "action top: %s -> c%d := (c%d + 1) %% 3;\n", up3(n), n, n-1)
+	return b.String() + w1DoublePrime(n)
+}
+
 // KStateGCL emits Dijkstra's K-state system for top index n and modulus k
 // as guarded-command source, with all counters 0 initially.
 func KStateGCL(n, k int) string {

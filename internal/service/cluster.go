@@ -100,15 +100,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if req.Steps == 0 {
 		req.Steps = 10_000
 	}
-	if req.Procs < 3 || req.Procs > maxClusterProcs {
-		s.writeComputeError(w, badRequest("procs must be in [3, %d], got %d", maxClusterProcs, req.Procs))
-		return
-	}
-	if req.K == 0 {
-		req.K = req.Procs
-	}
-	if req.K < 1 {
-		s.writeComputeError(w, badRequest("k must be ≥ 1, got %d", req.K))
+	if err := admitRing(req.Family, req.Procs, maxClusterProcs, &req.K); err != nil {
+		s.writeComputeError(w, err)
 		return
 	}
 	if req.Steps < 1 || req.Steps > maxClusterSteps {
@@ -137,11 +130,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	proto, err := sim.NewProtocol(req.Family, req.Procs, req.K)
-	if err != nil {
-		s.writeComputeError(w, badRequest("%v", err))
-		return
-	}
 	sched, err := cluster.ParseSchedule(req.Schedule)
 	if err != nil {
 		s.writeComputeError(w, badRequest("schedule: %v", err))
@@ -150,10 +138,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if len(sched) > maxClusterSchedule {
 		s.writeComputeError(w, badRequest("schedule has %d entries, above the limit of %d",
 			len(sched), maxClusterSchedule))
-		return
-	}
-	if err := cluster.ValidateSchedule(proto, sched); err != nil {
-		s.writeComputeError(w, badRequest("schedule: %v", err))
 		return
 	}
 
@@ -176,6 +160,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.execute(w, r, kindCluster, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		// Built after the cache lookup, so the schedule is checked here.
+		proto, err := sim.NewProtocol(req.Family, req.Procs, req.K)
+		if err != nil {
+			return nil, err
+		}
+		if err := cluster.ValidateSchedule(proto, sched); err != nil {
+			return nil, badRequest("schedule: %v", err)
+		}
 		legit, err := sim.LegitimateConfig(proto)
 		if err != nil {
 			return nil, badRequest("family: %v", err)

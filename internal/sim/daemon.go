@@ -73,12 +73,12 @@ func (d *RoundRobinDaemon) Choose(moves []Move) Move {
 // breaking ties by lowest process index. It needs the protocol to evaluate
 // successors.
 type GreedyDaemon struct {
-	proto Protocol
+	proto *Protocol
 	cur   Config
 }
 
 // NewGreedyDaemon builds the adversary for a protocol.
-func NewGreedyDaemon(p Protocol) *GreedyDaemon {
+func NewGreedyDaemon(p *Protocol) *GreedyDaemon {
 	return &GreedyDaemon{proto: p}
 }
 

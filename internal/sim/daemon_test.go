@@ -9,7 +9,7 @@ import (
 // move. The daemon interface promises determinism given the daemon's own
 // state and the move list; identical replays with fresh daemons must
 // therefore produce identical traces.
-func traceUnder(t *testing.T, p Protocol, d Daemon, start Config, steps int) []Move {
+func traceUnder(t *testing.T, p *Protocol, d Daemon, start Config, steps int) []Move {
 	t.Helper()
 	c := start.Clone()
 	var trace []Move
@@ -32,7 +32,7 @@ func traceUnder(t *testing.T, p Protocol, d Daemon, start Config, steps int) []M
 // protocol and start configuration — fresh instance each time, same
 // seed / cursor — and requires move-for-move identical schedules.
 func TestEachDaemonDeterministic(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	cases := []struct {
 		name string
 		mk   func() Daemon
@@ -81,7 +81,7 @@ func TestRoundRobinCursorAdvances(t *testing.T) {
 // detector (make check) this also validates the locking discipline.
 func TestLiveRingSmallRingsConverge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, p := range []Protocol{NewDijkstra3(4), NewDijkstra4(4)} {
+	for _, p := range []*Protocol{newProto("dijkstra3", 4, 0), newProto("dijkstra4", 4, 0)} {
 		for trial := 0; trial < 3; trial++ {
 			legit, err := LegitimateConfig(p)
 			if err != nil {

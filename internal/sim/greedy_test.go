@@ -5,7 +5,7 @@ import "testing"
 // expectedGreedy recomputes the adversarial pick independently of the
 // daemon: the move whose successor has the most tokens, ties broken by
 // move order (processes ascending, rules in declaration order).
-func expectedGreedy(p Protocol, c Config, moves []Move) (Move, int) {
+func expectedGreedy(p *Protocol, c Config, moves []Move) (Move, int) {
 	best := moves[0]
 	bestTokens := -1
 	for _, m := range moves {
@@ -24,7 +24,7 @@ func expectedGreedy(p Protocol, c Config, moves []Move) (Move, int) {
 // passes (successor keeps 2): the adversary must keep picking the
 // passing move, deterministically.
 func TestGreedyAdversarialPick(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	c := Config{0, 1, 0, 1, 1}
 	moves := EnabledMoves(p, c)
 	if len(moves) < 2 {
@@ -66,7 +66,7 @@ func TestGreedyAdversarialPick(t *testing.T) {
 // fall back to the first move among the least-damaging ones — the
 // lowest process index, rules in declaration order.
 func TestGreedyFallbackNoWorseningMove(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	c := Config{0, 1, 0, 1, 0}
 	moves := EnabledMoves(p, c)
 	if len(moves) < 2 {
@@ -100,7 +100,7 @@ func TestGreedyFallbackNoWorseningMove(t *testing.T) {
 // configuration to evaluate successors against and must degrade to the
 // first enabled move instead of crashing.
 func TestGreedyWithoutObservation(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	moves := EnabledMoves(p, Config{0, 1, 0, 1, 1})
 	d := NewGreedyDaemon(p)
 	if got := d.Choose(moves); got != moves[0] {

@@ -40,7 +40,7 @@ type LiveResult struct {
 // the shared configuration entirely in favor of message passing.
 type LiveRing struct {
 	// Proto is the protocol to run.
-	Proto Protocol
+	Proto *Protocol
 	// MaxSteps bounds the total number of moves (required, > 0).
 	MaxSteps int
 	// Seed drives each process's move choice (process i uses a source

@@ -6,7 +6,7 @@ import "testing"
 // keeps circulating after legitimacy, so over a modest budget every
 // process of a small ring must execute at least one move.
 func TestLiveRingEveryProcessMoves(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	lr := &LiveRing{Proto: p, MaxSteps: 2000, Seed: 3, RunAfterConvergence: true}
 	res, err := lr.Run(Config{2, 0, 1, 0})
 	if err != nil {
@@ -33,7 +33,7 @@ func TestLiveRingEveryProcessMoves(t *testing.T) {
 // TestLiveRingMoveCounters: without RunAfterConvergence the counters
 // still sum to the executed steps.
 func TestLiveRingMoveCounters(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	lr := &LiveRing{Proto: p, MaxSteps: 100_000, Seed: 7}
 	res, err := lr.Run(Config{0, 2, 1, 0, 2})
 	if err != nil {
@@ -57,7 +57,7 @@ func TestLiveRingMoveCounters(t *testing.T) {
 // TestLiveRingImmediatelyLegitimateCounters: an already-legitimate
 // start with no after-run reports zeroed counters.
 func TestLiveRingImmediatelyLegitimateCounters(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestServiceSafeFromLegitimate(t *testing.T) {
-	p := NewDijkstra3(6)
+	p := newProto("dijkstra3", 6, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestServiceSafeFromLegitimate(t *testing.T) {
 }
 
 func TestServiceRecoversAfterFaults(t *testing.T) {
-	p := NewDijkstra3(7)
+	p := newProto("dijkstra3", 7, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestServiceRecoversAfterFaults(t *testing.T) {
 }
 
 func TestServiceValidation(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	if _, err := MeasureService(p, NewRandomDaemon(1), make(Config, 4), 0); err == nil {
 		t.Fatal("zero steps accepted")
 	}
@@ -62,7 +62,7 @@ func TestServiceValidation(t *testing.T) {
 }
 
 func TestServiceEntriesSumToSteps(t *testing.T) {
-	p := NewKState(5, 5)
+	p := newProto("kstate", 5, 5)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,30 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/ring"
 	"repro/internal/system"
 )
+
+// newProto builds a protocol family the tests know to be valid.
+func newProto(family string, p, k int) *Protocol {
+	proto, err := NewProtocol(family, p, k)
+	if err != nil {
+		panic(err)
+	}
+	return proto
+}
 
 // automatonOf enumerates a sim protocol into an automaton over the product
 // of its register domains (register i is variable i), with the legitimate
 // configurations as initial states.
-func automatonOf(p Protocol) (*system.System, *system.Space) {
+func automatonOf(p *Protocol) *system.System {
 	vars := make([]system.Var, p.Procs())
 	for i := range vars {
 		vars[i] = system.Int(fmt.Sprintf("r%d", i), p.Domain(i))
@@ -33,96 +44,21 @@ func automatonOf(p Protocol) (*system.System, *system.Space) {
 			b.AddInit(s)
 		}
 	}
-	return b.Build(), sp
-}
-
-// TestDijkstra3MatchesModel cross-validates the local-rule simulator
-// protocol against the ring package's automaton, transition for
-// transition.
-func TestDijkstra3MatchesModel(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		simSys, _ := automatonOf(NewDijkstra3(n + 1))
-		model := ring.NewThreeState(n).Dijkstra3()
-		if !system.TransitionsEqual(simSys, model) {
-			diff := system.DiffTransitions(simSys, model, 3)
-			diff2 := system.DiffTransitions(model, simSys, 3)
-			t.Fatalf("N=%d: sim vs model differ: sim-only %v, model-only %v", n, diff, diff2)
-		}
-	}
-}
-
-func TestKStateMatchesModel(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		for _, k := range []int{3, 4} {
-			simSys, _ := automatonOf(NewKState(n+1, k))
-			model := ring.NewKState(n, k).System()
-			if !system.TransitionsEqual(simSys, model) {
-				t.Fatalf("N=%d K=%d: sim vs model differ", n, k)
-			}
-		}
-	}
-}
-
-// TestDijkstra4MatchesModel translates between the simulator's packed
-// per-process registers and the model's c/up variable layout, then
-// compares successor sets state by state.
-func TestDijkstra4MatchesModel(t *testing.T) {
-	n := 3
-	f := ring.NewFourState(n)
-	model := f.Dijkstra4()
-	proto := NewDijkstra4(n + 1)
-	simSys, simSpace := automatonOf(proto)
-
-	// modelToSim translates a model state index to a sim state index.
-	mv := make(system.Vals, f.Space.NumVars())
-	modelToSim := func(s int) int {
-		mv = f.Space.Decode(s, mv)
-		cfg := make(system.Vals, n+1)
-		for j := 0; j <= n; j++ {
-			c := mv[j] // c0..cN first in the model space
-			switch j {
-			case 0, n:
-				cfg[j] = c
-			default:
-				up := mv[n+j] // up1..up(N−1) after the c block
-				cfg[j] = c | up<<1
-			}
-		}
-		return simSpace.Encode(cfg)
-	}
-
-	for s := 0; s < model.NumStates(); s++ {
-		ss := modelToSim(s)
-		want := make(map[int]bool)
-		for _, t2 := range model.Succ(s) {
-			want[modelToSim(t2)] = true
-		}
-		got := simSys.Succ(ss)
-		if len(got) != len(want) {
-			t.Fatalf("state %s: sim has %d successors, model %d",
-				model.StateString(s), len(got), len(want))
-		}
-		for _, t2 := range got {
-			if !want[t2] {
-				t.Fatalf("state %s: sim successor %s not in model",
-					model.StateString(s), simSys.StateString(t2))
-			}
-		}
-	}
+	return b.Build()
 }
 
 // TestSimProtocolsStabilize runs the model checker on the automata
-// enumerated from the simulator's local rules: every protocol, exactly as
+// enumerated from the simulator's protocols: every protocol, exactly as
 // the simulator executes it, is self-stabilizing.
 func TestSimProtocolsStabilize(t *testing.T) {
-	protos := []Protocol{
-		NewDijkstra3(4),
-		NewDijkstra4(4),
-		NewKState(4, 4),
-		NewNewThree(4),
+	protos := []*Protocol{
+		newProto("dijkstra3", 4, 0),
+		newProto("dijkstra4", 4, 0),
+		newProto("kstate", 4, 4),
+		newProto("newthree", 4, 0),
 	}
 	for _, p := range protos {
-		sys, _ := automatonOf(p)
+		sys := automatonOf(p)
 		rep := core.SelfStabilizing(sys)
 		if !rep.Holds {
 			t.Fatalf("%s: %s", p.Name(), rep.Verdict)
@@ -132,7 +68,7 @@ func TestSimProtocolsStabilize(t *testing.T) {
 
 func TestTokensNeverZeroDuringRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, p := range []Protocol{NewDijkstra3(5), NewDijkstra4(5), NewKState(5, 5)} {
+	for _, p := range []*Protocol{newProto("dijkstra3", 5, 0), newProto("dijkstra4", 5, 0), newProto("kstate", 5, 5)} {
 		for trial := 0; trial < 20; trial++ {
 			start := RandomConfig(p, rng)
 			if TokenCount(p, start) == 0 {
@@ -144,7 +80,7 @@ func TestTokensNeverZeroDuringRuns(t *testing.T) {
 
 func TestRunnerConvergesFromRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	protos := []Protocol{NewDijkstra3(6), NewDijkstra4(6), NewKState(6, 6), NewNewThree(6)}
+	protos := []*Protocol{newProto("dijkstra3", 6, 0), newProto("dijkstra4", 6, 0), newProto("kstate", 6, 6), newProto("newthree", 6, 0)}
 	for _, p := range protos {
 		for trial := 0; trial < 25; trial++ {
 			r := &Runner{Proto: p, Daemon: NewRandomDaemon(int64(trial)), MaxSteps: 5000}
@@ -163,7 +99,7 @@ func TestRunnerConvergesFromRandom(t *testing.T) {
 }
 
 func TestRunnerConvergesUnderAllDaemons(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	daemons := []func() Daemon{
 		func() Daemon { return NewRandomDaemon(1) },
 		func() Daemon { return NewRoundRobinDaemon(p.Procs()) },
@@ -190,7 +126,7 @@ func TestDijkstra3TokenInvariants(t *testing.T) {
 	// create a privilege during recovery; the stabilization proofs rely
 	// on a finer variant function, and the model checker verifies the end
 	// result.)
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		c := RandomConfig(p, rng)
@@ -210,7 +146,7 @@ func TestDijkstra3TokenInvariants(t *testing.T) {
 }
 
 func TestCorrupt(t *testing.T) {
-	p := NewDijkstra3(5)
+	p := newProto("dijkstra3", 5, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +169,7 @@ func TestCorrupt(t *testing.T) {
 }
 
 func TestLegitimateConfigAllProtocols(t *testing.T) {
-	for _, p := range []Protocol{NewDijkstra3(5), NewDijkstra4(5), NewKState(5, 4), NewNewThree(5)} {
+	for _, p := range []*Protocol{newProto("dijkstra3", 5, 0), newProto("dijkstra4", 5, 0), newProto("kstate", 5, 4), newProto("newthree", 5, 0)} {
 		c, err := LegitimateConfig(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -245,7 +181,7 @@ func TestLegitimateConfigAllProtocols(t *testing.T) {
 }
 
 func TestMeasureConvergence(t *testing.T) {
-	p := NewDijkstra3(6)
+	p := newProto("dijkstra3", 6, 0)
 	stats, err := MeasureConvergence(p,
 		func(run int) Daemon { return NewRandomDaemon(int64(run)) },
 		30, 3, 5000, 99)
@@ -260,10 +196,27 @@ func TestMeasureConvergence(t *testing.T) {
 	}
 }
 
+// TestMeasureConvergenceHonorsDeadline: a single long run over a large
+// ring (the largest /v1/ringsim admits) stops at its deadline instead of
+// running out its step budget.
+func TestMeasureConvergenceHonorsDeadline(t *testing.T) {
+	p := newProto("dijkstra3", 10_000, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	started := time.Now()
+	_, err := MeasureConvergenceCtx(ctx, p,
+		func(run int) Daemon { return NewRandomDaemon(int64(run)) },
+		1, 10_000, 200_000, 1)
+	if elapsed := time.Since(started); !errors.Is(err, context.DeadlineExceeded) || elapsed > time.Second {
+		t.Fatalf("MeasureConvergenceCtx returned %v after %v, want %v within 1s",
+			err, elapsed, context.DeadlineExceeded)
+	}
+}
+
 func TestRunnerTokenCirculation(t *testing.T) {
 	// After convergence the single token keeps circulating: every rule of
 	// Dijkstra3 fires during a long run from a legitimate configuration.
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +227,7 @@ func TestRunnerTokenCirculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rule := range []string{"bottom", "top", "up", "down"} {
+	for _, rule := range []string{"bottom", "top", "up", "dn"} {
 		if res.RuleFires[rule] == 0 {
 			t.Fatalf("rule %s never fired: %v", rule, res.RuleFires)
 		}
@@ -287,7 +240,7 @@ func TestRunnerTokenCirculation(t *testing.T) {
 }
 
 func TestRunnerErrors(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	if _, err := (&Runner{Proto: p, Daemon: NewRandomDaemon(1)}).Run(make(Config, 4)); err == nil {
 		t.Fatal("zero MaxSteps accepted")
 	}
@@ -306,7 +259,7 @@ func TestWrapperActivityNewThree(t *testing.T) {
 	// plus endpoint absorptions make up the difference. Here we check the
 	// bookkeeping: runs converge and the W1″ rule fires at least once
 	// when starting from the all-equal (tokenless-middle) configuration.
-	p := NewNewThree(5)
+	p := newProto("newthree", 5, 0)
 	start := Config{1, 1, 1, 1, 1}
 	r := &Runner{Proto: p, Daemon: NewRandomDaemon(2), MaxSteps: 1000}
 	res, err := r.Run(start)
@@ -320,7 +273,7 @@ func TestWrapperActivityNewThree(t *testing.T) {
 
 func TestLiveRingConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, p := range []Protocol{NewDijkstra3(5), NewDijkstra4(5), NewKState(5, 5)} {
+	for _, p := range []*Protocol{newProto("dijkstra3", 5, 0), newProto("dijkstra4", 5, 0), newProto("kstate", 5, 5)} {
 		lr := &LiveRing{Proto: p, MaxSteps: 100000}
 		res, err := lr.Run(RandomConfig(p, rng))
 		if err != nil {
@@ -336,7 +289,7 @@ func TestLiveRingConverges(t *testing.T) {
 }
 
 func TestLiveRingImmediateLegitimacy(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	legit, err := LegitimateConfig(p)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +305,7 @@ func TestLiveRingImmediateLegitimacy(t *testing.T) {
 }
 
 func TestLiveRingValidation(t *testing.T) {
-	p := NewDijkstra3(4)
+	p := newProto("dijkstra3", 4, 0)
 	if _, err := (&LiveRing{Proto: p}).Run(make(Config, 4)); err == nil {
 		t.Fatal("zero MaxSteps accepted")
 	}
@@ -362,7 +315,7 @@ func TestLiveRingValidation(t *testing.T) {
 }
 
 func TestDaemonDeterminism(t *testing.T) {
-	p := NewDijkstra3(6)
+	p := newProto("dijkstra3", 6, 0)
 	run := func(seed int64) []int {
 		r := &Runner{Proto: p, Daemon: NewRandomDaemon(seed), MaxSteps: 2000}
 		rng := rand.New(rand.NewSource(123))
@@ -381,20 +334,27 @@ func TestDaemonDeterminism(t *testing.T) {
 }
 
 func TestProtocolConstructorValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewDijkstra3(2) },
-		func() { NewDijkstra4(2) },
-		func() { NewKState(2, 4) },
-		func() { NewKState(4, 1) },
-		func() { NewNewThree(2) },
+	for _, tc := range []struct {
+		family string
+		p, k   int
+		want   string
+	}{
+		{"dijkstra3", 2, 0, "dijkstra3 needs at least 3 processes, got 2"},
+		{"dijkstra4", 2, 0, "dijkstra4 needs at least 3 processes, got 2"},
+		{"kstate", 2, 4, "kstate needs at least 3 processes, got 2"},
+		{"kstate", 4, 1, "kstate needs k ≥ 2, got 1"},
+		{"newthree", 2, 0, "newthree needs at least 3 processes, got 2"},
+		{"dijkstra5", 4, 0, `unknown family "dijkstra5" (want dijkstra3 | dijkstra4 | kstate | newthree)`},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
+		_, err := NewProtocol(tc.family, tc.p, tc.k)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("NewProtocol(%q, %d, %d) = %v, want %q", tc.family, tc.p, tc.k, err, tc.want)
+		}
+		if check := CheckFamily(tc.family, tc.p, tc.k); check == nil || check.Error() != tc.want {
+			t.Errorf("CheckFamily(%q, %d, %d) = %v, want %q", tc.family, tc.p, tc.k, check, tc.want)
+		}
+	}
+	if _, err := NewProtocol("dijkstra5", 4, 0); !errors.Is(err, ErrUnknownFamily) {
+		t.Fatalf("unknown family error %v does not wrap ErrUnknownFamily", err)
 	}
 }

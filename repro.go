@@ -187,7 +187,7 @@ var (
 
 // Simulator (internal/sim).
 type (
-	// Protocol is a ring protocol in local-rule form.
+	// Protocol is a ring protocol compiled from a GCL ring template.
 	Protocol = sim.Protocol
 	// SimConfig is a ring configuration.
 	SimConfig = sim.Config
@@ -201,14 +201,9 @@ type (
 
 // Re-exported simulator constructors.
 var (
-	// SimDijkstra3 builds the 3-state protocol for P processes.
-	SimDijkstra3 = sim.NewDijkstra3
-	// SimDijkstra4 builds the 4-state protocol.
-	SimDijkstra4 = sim.NewDijkstra4
-	// SimKState builds the K-state protocol.
-	SimKState = sim.NewKState
-	// SimNewThree builds the Section 6 protocol.
-	SimNewThree = sim.NewNewThree
+	// NewProtocol builds a protocol family (dijkstra3, dijkstra4, kstate,
+	// newthree) for P processes from its GCL ring template.
+	NewProtocol = sim.NewProtocol
 	// NewRandomDaemon builds a seeded random scheduler.
 	NewRandomDaemon = sim.NewRandomDaemon
 	// NewRoundRobinDaemon builds a cyclic scheduler.

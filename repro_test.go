@@ -100,7 +100,10 @@ func TestExperimentRegistry(t *testing.T) {
 
 // TestSimFacade runs a protocol through the re-exported simulator types.
 func TestSimFacade(t *testing.T) {
-	proto := repro.SimDijkstra3(5)
+	proto, err := repro.NewProtocol("dijkstra3", 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &repro.Runner{Proto: proto, Daemon: repro.NewRandomDaemon(1), MaxSteps: 10000}
 	res, err := r.Run(repro.SimConfig{0, 2, 1, 2, 0})
 	if err != nil {
