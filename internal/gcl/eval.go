@@ -37,7 +37,7 @@ func Eval(p *Program, e Expr, env system.Vals) (int, error) {
 		}
 		return 0, nil
 	case *Ident:
-		v := p.Vars[e.Index]
+		v := &p.Vars[e.Index]
 		if v.IsBool {
 			return env[e.Index], nil
 		}

@@ -161,9 +161,9 @@ func (l *Lowered) tabulate(g *mc.Gas, mark, order []int) error {
 	reads := make([]int, 0, 3*numA)
 	for ai := range l.actions {
 		a := &l.prog.Actions[ai]
-		markReads(a.Guard, mark, ai+1)
+		MarkReads(a.Guard, mark, ai+1)
 		for _, as := range a.Assigns {
-			markReads(as.Expr, mark, ai+1)
+			MarkReads(as.Expr, mark, ai+1)
 		}
 		for _, as := range l.actions[ai].assigns {
 			mark[as.vi] = ai + 1
@@ -275,20 +275,21 @@ func (c *Cursor) fill(g *mc.Gas, ai int) (int, error) {
 	return fires, nil
 }
 
-// markReads sets mark[v] = stamp for every variable e reads.
-func markReads(e Expr, mark []int, stamp int) {
+// MarkReads sets mark[v] = stamp for every variable e reads (e must be
+// resolved by Check).
+func MarkReads(e Expr, mark []int, stamp int) {
 	switch e := e.(type) {
 	case *Ident:
 		mark[e.Index] = stamp
 	case *Unary:
-		markReads(e.X, mark, stamp)
+		MarkReads(e.X, mark, stamp)
 	case *Binary:
-		markReads(e.X, mark, stamp)
-		markReads(e.Y, mark, stamp)
+		MarkReads(e.X, mark, stamp)
+		MarkReads(e.Y, mark, stamp)
 	case *Cond:
-		markReads(e.C, mark, stamp)
-		markReads(e.X, mark, stamp)
-		markReads(e.Y, mark, stamp)
+		MarkReads(e.C, mark, stamp)
+		MarkReads(e.X, mark, stamp)
+		MarkReads(e.Y, mark, stamp)
 	}
 }
 
