@@ -391,6 +391,7 @@ func BenchmarkGCLCompile(b *testing.B) {
 func BenchmarkLintExact(b *testing.B) {
 	for _, fam := range []struct{ name, src string }{
 		{"D3-N6", ring.Dijkstra3GCL(6)},
+		{"A3-N6", ring.AggressiveThreeGCL(6)},
 		{"K3-N6", ring.KStateGCL(6, 3)},
 	} {
 		prog, err := gcl.Parse(fam.src)
@@ -407,6 +408,39 @@ func BenchmarkLintExact(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLintEncode measures the lint response encode layer alone: the
+// D3 N = 6 report (55 GCL007 diagnostics, ~17 KB) through the
+// json.Encoder settings checkd writes responses with.
+func BenchmarkLintEncode(b *testing.B) {
+	prog, err := gcl.Parse(ring.Dijkstra3GCL(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, analysis.Options{Exact: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := service.LintResponse{
+		Program:         gcl.Fingerprint(prog),
+		States:          res.States,
+		Exact:           res.Exact,
+		AnalyzerVersion: analysis.Version(),
+		Errors:          analysis.ErrorCount(res.Diags),
+		Diags:           res.Diags,
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }
 
 func benchGCLPipeline(b *testing.B) {

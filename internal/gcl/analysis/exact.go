@@ -74,12 +74,17 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 		}
 	}
 
-	// Successor rows, flat (succ[off[s]:off[s+1]]), are needed only for
-	// reachability.
+	// Reachability needs the successor rows, flat (succ[off[s]:off[s+1]]),
+	// and then, to count reachEnab without a second sweep, per action the
+	// states where its guard held: bit s of row ai of enabledAt, words
+	// uint64s a row (an eighth of a byte per state and action).
 	var off, succ []int32
+	var enabledAt []uint64
+	words := (n + 63) / 64
 	if prog.Init != nil {
 		off = make([]int32, n+1)
 		succ = make([]int32, 0, l.Transitions())
+		enabledAt = make([]uint64, numA*words)
 	}
 	initStates := make([]int, 0, 16)
 
@@ -122,6 +127,9 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				succ = append(succ, int32(ns))
 			}
 			f.enabled[ai]++
+			if enabledAt != nil {
+				enabledAt[ai*words+s>>6] |= 1 << (s & 63)
+			}
 			if ns != s {
 				f.stutters[ai] = false
 			}
@@ -158,9 +166,17 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				queue = append(queue, s)
 			}
 		}
+		// Each reachable state is popped once: count its enabled actions
+		// then.
 		for len(queue) > 0 {
 			s := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
+			w, bit := s>>6, uint64(1)<<(s&63)
+			for ai := range f.reachEnab {
+				if enabledAt[ai*words+w]&bit != 0 {
+					f.reachEnab[ai]++
+				}
+			}
 			for _, ns := range succ[off[s]:off[s+1]] {
 				if err := gas.Tick(1); err != nil {
 					return nil, err
@@ -168,23 +184,6 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				if !f.reachable[ns] {
 					f.reachable[ns] = true
 					queue = append(queue, int(ns))
-				}
-			}
-		}
-		// Second pass over reachable states to count per-action enabled
-		// occurrences within the reachable set.
-		c := l.NewCursor()
-		for c.Next() {
-			if !f.reachable[c.State()] {
-				continue
-			}
-			if err := gas.Tick(numA); err != nil {
-				return nil, err
-			}
-			moves = c.Moves(moves[:0])
-			for _, m := range moves {
-				if m.Next != gcl.Faulted || !c.GuardFaulted(m.Action) {
-					f.reachEnab[m.Action]++
 				}
 			}
 		}

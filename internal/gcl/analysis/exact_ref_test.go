@@ -219,6 +219,10 @@ func TestExactMatchesReferenceCorpus(t *testing.T) {
 		{"reads-all", "var x : 0..2;\nvar y : 0..2;\nvar z : 0..2;\naction all: x + y + z < 6 -> z := (x + y + z + 1) % 3;\naction one: x < 2 -> x := x + 1;"},
 		{"unused-vars", "var u : 0..4;\nvar x : 0..2;\nvar w : bool;\ninit x == 0;\naction a: x < 2 -> x := x + 1;\naction b: x == 2 -> x := 0;"},
 		{"stutter", "var x : 0..2;\nvar y : 0..2;\ninit x == 0 && y == 0;\naction s: x == y -> x := y;\naction t: true -> y := (y + 1) % 3;"},
+		// init reaches three of the twelve states. Of the actions enabled
+		// there, esc escapes at x = 2 and div's guard faults at x = 1;
+		// hop is enabled only off the reachable set.
+		{"partial-reach", "var x : 0..3;\nvar y : 0..2;\ninit x == 0 && y == 0;\naction inc: x < 2 -> x := x + 1;\naction hop: x == 3 -> y := (y + 1) % 3;\naction esc: x == 2 -> y := y + 3;\naction div: y == 0 && x / (x - 1) >= 0 -> x := 0;"},
 		{"overlap", "var x : 0..3;\nvar z : bool;\naction up: x < 3 -> x := x + 1;\naction down: x > 0 -> x := x - 1;\naction same: x > 1 -> x := x - 1;"},
 	} {
 		assertExactMatchesReference(t, tc.name, tc.src)

@@ -148,6 +148,12 @@ func TestCompileMatchesReferenceFailures(t *testing.T) {
 		{"partial-div-rhs", "var x : 0..3;\nvar y : 0..2;\nvar z : 0..1;\naction a: x == 3 -> y := x / (y - 1) % 3;"},
 		// A fault in the second action, after the first is tabulated.
 		{"partial-mod-second", "var x : 0..3;\nvar y : 0..2;\nvar z : 0..1;\naction a: x < 3 -> x := x + 1;\naction b: true -> y := x % (y - 2);"},
+		// Init faults in a conjunct, behind a true one (first at x = 1)
+		// and ahead of one (at state 0).
+		{"init-fault-after-true", "var x : 0..2;\nvar y : 0..2;\ninit x == 1 && 1 / y == 1;\naction a: true -> x := 0;"},
+		{"init-fault-first", "var x : 0..2;\nvar y : 0..2;\ninit 1 / y == 1 && x == 1;\naction a: true -> x := 0;"},
+		// A faulting conjunct that reads every variable has no table.
+		{"init-fault-untabulated", "var x : 0..2;\nvar y : 0..2;\ninit x == 1 && 1 / (x + y - 2) == 1;\naction a: true -> x := 0;"},
 	} {
 		if assertSameAsReference(t, tc.name, tc.src) {
 			t.Errorf("%s: compiled, want a runtime failure", tc.name)
@@ -170,6 +176,12 @@ func TestCompileMatchesReferenceTables(t *testing.T) {
 		{"guarded-fault", "var x : 0..3;\nvar y : 0..2;\nvar z : bool;\naction a: y != 1 && x / (y - 1) >= 0 -> x := (x + 1) % 4;\naction b: y != 1 -> y := 2 - y;"},
 		{"stutter", "var x : 0..2;\nvar y : 0..2;\naction s: x == y -> x := y;\naction t: true -> y := (y + 1) % 3;"},
 		{"single-state", "var x : 0..0;\naction a: true -> x := 0;"},
+		// Init conjuncts: one that reads every variable (no table), a
+		// nested chain, a bare boolean, a single-state init.
+		{"init-reads-all", "var x : 0..2;\nvar y : 0..2;\ninit (x + y) % 3 == 0 && y < 2;\naction a: x < 2 -> x := x + 1;"},
+		{"init-nested", "var x : 0..3;\nvar y : 0..2;\nvar b : bool;\ninit x < 2 && (y == 0 && !b);\naction a: x < 3 -> x := x + 1;\naction c: true -> b := !b;"},
+		{"init-bool", "var b : bool;\nvar x : -1..1;\ninit b && x == 0;\naction a: x < 1 -> x := x + 1; b := !b;"},
+		{"init-single-state", "var x : 0..2;\nvar y : 0..2;\ninit x == 2 && y == 1;\naction a: x > 0 -> x := x - 1;\naction b: y > 0 -> y := y - 1;"},
 	} {
 		if !assertSameAsReference(t, tc.name, tc.src) {
 			t.Errorf("%s: failed to compile", tc.name)

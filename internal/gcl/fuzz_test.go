@@ -42,6 +42,13 @@ func FuzzCompile(f *testing.F) {
 	f.Add("var x : 0..2;\naction a: true -> x := x + 1;") // domain overflow
 	f.Add("var x : 0..2;\naction a: 1 / x == 1 -> x := 0;")
 	f.Add("var x : -2..2;\nvar b : bool;\ninit b || x % 2 == 0;\naction a: b -> x := -x; b := x > 0;")
+	// Init conjuncts: faults after and before a true conjunct, one that
+	// reads every variable, a nested chain, a bare boolean.
+	f.Add("var x : 0..2;\nvar y : 0..2;\ninit x == 1 && 1 / y == 1;\naction a: true -> x := 0;")
+	f.Add("var x : 0..2;\nvar y : 0..2;\ninit 1 / y == 1 && x == 1;\naction a: true -> x := 0;")
+	f.Add("var x : 0..2;\nvar y : 0..2;\ninit (x + y) % 3 == 0 && y < 2;\naction a: x < 2 -> x := x + 1;")
+	f.Add("var x : 0..3;\nvar y : 0..2;\nvar b : bool;\ninit x < 2 && (y == 0 && !b);\naction a: x < 3 -> x := x + 1;")
+	f.Add("var b : bool;\nvar x : -1..1;\ninit b && x == 0;\naction a: x < 1 -> x := x + 1; b := !b;")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Guard against fuzz inputs that declare astronomically large
 		// domains: compilation cost is proportional to the state space.

@@ -90,7 +90,8 @@ func (k TokenKind) String() string {
 
 // Pos is a 1-based source position.
 type Pos struct {
-	Line, Col int
+	Line int `json:"line"`
+	Col  int `json:"col"`
 }
 
 // String renders "line:col".
