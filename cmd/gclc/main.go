@@ -219,7 +219,7 @@ func runLint(path string, jsonOut bool, out io.Writer) error {
 		for _, d := range res.Diags {
 			fmt.Fprintf(out, "%s:%s\n", path, d)
 			for _, rel := range d.Related {
-				fmt.Fprintf(out, "\t%s:%s: %s\n", path, rel.Pos, rel.Msg)
+				fmt.Fprintf(out, "\t%s:%s\n", path, rel)
 			}
 		}
 	}
