@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet gcvet build test bench bench-sim bench-check fuzz-smoke lint cluster-race cluster-demo chaos crash-demo \
+.PHONY: check fmt vet gcvet build test bench bench-sim bench-core bench-check fuzz-smoke lint cluster-race cluster-demo chaos crash-demo \
 	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
 
 # check is the full gate: formatting, vet, build, the race-enabled
@@ -66,6 +66,13 @@ bench:
 # counts. It is not a CI step; shared runners make benchmarks noisy.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'SimulatorThroughput|SimConvergence|LiveRing|ClusterRing' -benchmem -cpu 1 -count 5 .
+
+# bench-core records the checker-kernel benchmarks the same way every
+# time, for before/after comparisons of a change to enumeration, the
+# exact lint tier or the decision procedures: one CPU, five counts. Like
+# bench-sim it is not a CI step.
+bench-core:
+	$(GO) test -run '^$$' -bench 'GCLCompile|LintExact|SelfStabilizing|Stabilizing|RefineBattery' -benchmem -cpu 1 -count 5 .
 
 # bench-check vets and tests the checkd benchmark module. It lives in its
 # own module (checkbench/go.mod, replacing repro with this checkout), so

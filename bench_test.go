@@ -202,6 +202,35 @@ func BenchmarkStabilizing(b *testing.B) {
 	})
 }
 
+// BenchmarkRefineBattery measures the four checks /v1/refine runs, in
+// its order, on cold-check's refine shape: AggressiveThree against
+// Dijkstra3 at N = 6 with one initial state. Every concrete edge is
+// looked up in the abstract system, so it covers the edge lookups of
+// core.everywhere and core.convergence.
+func BenchmarkRefineBattery(b *testing.B) {
+	three := ring.NewThreeState(6)
+	a3 := three.AggressiveThree().WithInit([]int{0})
+	d3 := three.Dijkstra3().WithInit([]int{0})
+	b.Run("A3-D3-N6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := mc.NewGas(nil, -1)
+			if _, err := core.RefinementInitGas(g, a3, d3, nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.EverywhereRefinementGas(g, a3, d3, nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.ConvergenceRefinementGas(g, a3, d3, nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.StabilizingGas(g, a3, d3, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkConvergenceRefinementCheck measures [C1 ⪯ BTR].
 func BenchmarkConvergenceRefinementCheck(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {

@@ -81,19 +81,23 @@ func ConvergenceRefinementGas(g *mc.Gas, c, a *system.System, ab *system.Abstrac
 	}
 	// SCC index of C, computed lazily on the first compression edge: an
 	// edge (s, t) lies on a cycle of C iff s and t share a component.
-	var cComp []int
+	var cd *mc.Condensation
+	defer func() {
+		if cd != nil {
+			cd.Release()
+		}
+	}()
 	sameSCC := func(s, t int) (bool, error) {
 		if s == t {
 			return true, nil
 		}
-		if cComp == nil {
-			cd, err := mc.SCCsGas(g, c, nil)
-			if err != nil {
+		if cd == nil {
+			var err error
+			if cd, err = mc.SCCsGas(g, c, nil); err != nil {
 				return false, err
 			}
-			cComp = cd.Comp
 		}
-		return cComp[s] == cComp[t], nil
+		return cd.Comp[s] == cd.Comp[t], nil
 	}
 
 	for s := 0; s < c.NumStates(); s++ {

@@ -88,6 +88,7 @@ func FairStabilizingGas(g *mc.Gas, c *system.LabeledSystem, a *system.System, ab
 	if err != nil {
 		return nil, err
 	}
+	defer cd.Release()
 	for i := 0; i < cd.Len(); i++ {
 		if err := g.Tick(1); err != nil {
 			return nil, err

@@ -141,6 +141,7 @@ func suffixTracking(g *mc.Gas, relation string, c, a *system.System, ab *system.
 	if err != nil {
 		return nil, err
 	}
+	defer cd.Release()
 	sw, err := sweepBadEvents(g, c, cd, badState, badEdge)
 	if err != nil {
 		return nil, err

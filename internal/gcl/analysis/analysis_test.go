@@ -381,6 +381,8 @@ func TestDiagJSONRejectsUnknownNames(t *testing.T) {
 		`{"line":1,"col":1,"code":"GCL001","severity":"warning","confidence":"likely","msg":"m"}`,
 		`{"line":1,"col":1,"code":"GCL001","severity":"warning","confidence":"","msg":"m"}`,
 		`{"line":1,"col":1,"code":"GCL001","severity":"warning","confidence":1,"msg":"m"}`,
+		`{"line":1,"col":1,"code":"GCL001","severity":null,"confidence":"exact","msg":"m"}`,
+		`{"line":1,"col":1,"code":"GCL001","severity":"warning","confidence":null,"msg":"m"}`,
 	} {
 		var d Diag
 		if err := json.Unmarshal([]byte(body), &d); err == nil {
@@ -391,6 +393,35 @@ func TestDiagJSONRejectsUnknownNames(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"line":1,"col":1,"code":"GCL001","severity":"error","confidence":"approx","msg":"m"}`), &d); err != nil ||
 		d.Severity != SevError || d.Confidence != ConfApprox {
 		t.Fatalf("known names: %+v, %v", d, err)
+	}
+}
+
+// TestDiagJSONNamesDecodeInPlace decodes a report with and without its
+// severity and confidence fields: the names cost no allocation, so
+// decoding a lint body (as API clients and checkbench's verdict gate
+// do) allocates per message, not per enum.
+func TestDiagJSONNamesDecodeInPlace(t *testing.T) {
+	diags := make([]Diag, 50)
+	for i := range diags {
+		diags[i] = Diag{Pos: gcl.Pos{Line: i + 1, Col: 1}, Code: CodeOverlappingGuards,
+			Severity: SevWarning, Confidence: ConfExact, Msg: "m"}
+	}
+	full, err := json.Marshal(diags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := strings.ReplaceAll(strings.ReplaceAll(string(full),
+		`"severity":"warning",`, ""), `"confidence":"exact",`, "")
+	decodeAllocs := func(body []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var out []Diag
+			if err := json.Unmarshal(body, &out); err != nil || len(out) != len(diags) {
+				t.Fatalf("decoded %d diags, err %v", len(out), err)
+			}
+		})
+	}
+	if named, unnamed := decodeAllocs(full), decodeAllocs([]byte(bare)); named > unnamed {
+		t.Fatalf("decoding %d diags allocates %.0f times with severity and confidence, %.0f without", len(diags), named, unnamed)
 	}
 }
 

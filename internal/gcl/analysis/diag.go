@@ -17,7 +17,9 @@
 package analysis
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -47,9 +49,32 @@ func (s Severity) String() string {
 	}
 }
 
+// The names' encodings, shared by every MarshalText call and never
+// written to: encoding/json copies what MarshalText returns.
+var (
+	severityText   = [...][]byte{SevInfo: []byte("info"), SevWarning: []byte("warning"), SevError: []byte("error")}
+	confidenceText = [...][]byte{ConfApprox: []byte("approx"), ConfExact: []byte("exact")}
+)
+
 // MarshalText renders the severity as its lowercase name, the form
-// encoding/json writes.
-func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+// encoding/json writes. The returned slice is shared and must not be
+// modified.
+func (s Severity) MarshalText() ([]byte, error) {
+	if s == SevWarning || s == SevError {
+		return severityText[s], nil
+	}
+	return severityText[SevInfo], nil
+}
+
+// UnmarshalJSON rejects null, which encoding/json would otherwise skip
+// and leave the severity at info, and parses a name with UnmarshalText.
+func (s *Severity) UnmarshalJSON(b []byte) error {
+	name, err := jsonName(b, "severity")
+	if err != nil {
+		return err
+	}
+	return s.UnmarshalText(name)
+}
 
 // UnmarshalText parses the lowercase name back.
 func (s *Severity) UnmarshalText(b []byte) error {
@@ -87,8 +112,23 @@ func (c Confidence) String() string {
 	return "approx"
 }
 
-// MarshalText renders the confidence as its lowercase name.
-func (c Confidence) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+// MarshalText renders the confidence as its lowercase name. The
+// returned slice is shared and must not be modified.
+func (c Confidence) MarshalText() ([]byte, error) {
+	if c == ConfExact {
+		return confidenceText[ConfExact], nil
+	}
+	return confidenceText[ConfApprox], nil
+}
+
+// UnmarshalJSON rejects null and parses a name with UnmarshalText.
+func (c *Confidence) UnmarshalJSON(b []byte) error {
+	name, err := jsonName(b, "confidence")
+	if err != nil {
+		return err
+	}
+	return c.UnmarshalText(name)
+}
 
 // UnmarshalText parses the lowercase name back.
 func (c *Confidence) UnmarshalText(b []byte) error {
@@ -101,6 +141,24 @@ func (c *Confidence) UnmarshalText(b []byte) error {
 		return fmt.Errorf("unknown confidence %q", b)
 	}
 	return nil
+}
+
+// jsonName returns the name a JSON string holds; null and every other
+// JSON value are errors naming what was expected. A string without
+// escapes, which is every name this package writes, is sliced out of b
+// in place, so decoding a report does not allocate per name.
+func jsonName(b []byte, what string) ([]byte, error) {
+	if len(b) >= 2 && b[0] == '"' && b[len(b)-1] == '"' && bytes.IndexByte(b, '\\') < 0 {
+		return b[1 : len(b)-1], nil
+	}
+	if string(b) == "null" {
+		return nil, fmt.Errorf("%s is null, want a name", what)
+	}
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return nil, fmt.Errorf("%s %s is not a name", what, b)
+	}
+	return []byte(name), nil
 }
 
 // Code is a stable diagnostic code. Codes are append-only: a released

@@ -49,10 +49,13 @@ func CompileLabeled(name string, prog *Program) (*system.LabeledSystem, error) {
 	return ls, err
 }
 
-// compile is the sweep behind CompileProgramGas and CompileLabeled. With
-// labeled set it also records each move's action and successor, in
-// action order, before FromSuccessors sorts the rows in place; without
-// it, it records and allocates nothing more.
+// compile is the sweep behind CompileProgramGas and CompileLabeled. It
+// writes each state's successors straight into the rows it hands
+// FromSuccessors, which it draws from system.Ints; the caller that owns
+// the result may give them back with System.Release. With labeled set it
+// lists each state's moves instead and also records each move's action
+// and successor, in action order, before FromSuccessors sorts the rows
+// in place.
 func compile(g *mc.Gas, name string, prog *Program, labeled bool) (*Compiled, *system.LabeledSystem, error) {
 	if err := Check(prog); err != nil {
 		return nil, nil, fmt.Errorf("gcl: checking %s: %w", name, err)
@@ -64,36 +67,44 @@ func compile(g *mc.Gas, name string, prog *Program, labeled bool) (*Compiled, *s
 	sp := l.Space()
 	n := sp.Size()
 	numA := len(prog.Actions)
-	off := make([]int, n+1)
-	succ := make([]int, 0, l.Transitions())
+	off := system.Ints(n + 1)
+	off[0] = 0
+	succ := system.Ints(l.Transitions())[:0]
 	var edges []system.LabeledEdge
+	var moves []Move
 	if labeled {
 		edges = make([]system.LabeledEdge, 0, l.Transitions())
+		moves = make([]Move, 0, numA)
 	}
 	init := bitset.New(n)
-	moves := make([]Move, 0, numA)
 	c := l.NewCursor()
 	for c.Next() {
 		if err := g.Tick(numA); err != nil {
-			return nil, nil, err
+			return nil, nil, putRows(off, succ, err)
 		}
 		s := c.State()
 		isInit, err := c.Init()
 		if err != nil {
-			return nil, nil, evalFailure(sp, s, err)
+			return nil, nil, putRows(off, succ, evalFailure(sp, s, err))
 		}
 		if isInit {
 			init.Add(s)
 		}
+		if !labeled {
+			var fault int
+			if succ, fault = c.Successors(succ); fault >= 0 {
+				return nil, nil, putRows(off, succ, c.Fault(fault))
+			}
+			off[s+1] = len(succ)
+			continue
+		}
 		moves = c.Moves(moves[:0])
 		for _, m := range moves {
 			if m.Next == Faulted {
-				return nil, nil, c.Fault(m.Action)
+				return nil, nil, putRows(off, succ, c.Fault(m.Action))
 			}
 			succ = append(succ, m.Next)
-			if labeled {
-				edges = append(edges, system.LabeledEdge{Action: m.Action, To: m.Next})
-			}
+			edges = append(edges, system.LabeledEdge{Action: m.Action, To: m.Next})
 		}
 		off[s+1] = len(succ)
 	}
@@ -111,6 +122,13 @@ func compile(g *mc.Gas, name string, prog *Program, labeled bool) (*Compiled, *s
 		names[ai] = a.Name
 	}
 	return compiled, system.NewLabeled(sys, names, edgeOff, edges), nil
+}
+
+// putRows gives back the rows a failed compile drew, and returns err.
+func putRows(off, succ []int, err error) error {
+	system.PutInts(off)
+	system.PutInts(succ)
+	return err
 }
 
 // SpaceOf builds the structured state space of a program's declarations.

@@ -115,6 +115,13 @@ func assertSameAsReference(t *testing.T, name, src string) bool {
 			t.Fatalf("%s: labeled edges of %s are %v, Eval gives %v", name, want.StateString(s), edges, row)
 		}
 	}
+	// Released rows come back from the pool holding the old system's
+	// values: a compile into them must still yield the reference.
+	got.System.Release()
+	p4, _ := Parse(src)
+	if again, err := CompileProgram(name, p4); err != nil || !system.Equal(again.System, want) {
+		t.Fatalf("%s: compiling after a release differs from the reference (err %v)", name, err)
+	}
 	return true
 }
 

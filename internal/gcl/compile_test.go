@@ -56,6 +56,35 @@ func TestCompileProgramGasBudget(t *testing.T) {
 	}
 }
 
+// TestCompileIntoStaleRows compiles into rows drawn from a pool full of
+// stale values: compile must write every element it later reads.
+func TestCompileIntoStaleRows(t *testing.T) {
+	compileM := func() *system.System {
+		prog, err := Parse(meteredSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CompileProgram("m", prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.System
+	}
+	want := compileM()
+	for _, size := range []int{want.NumStates() + 1, want.NumTransitions()} {
+		for i := 0; i < 4; i++ {
+			stale := make([]int, size)
+			for j := range stale {
+				stale[j] = -7
+			}
+			system.PutInts(stale)
+		}
+	}
+	if got := compileM(); !system.Equal(got, want) {
+		t.Fatalf("compiling into recycled rows gave %s, want %s", got, want)
+	}
+}
+
 func TestCheckErrors(t *testing.T) {
 	cases := []struct {
 		src, wantSub string

@@ -525,26 +525,27 @@ type Cursor struct {
 	// state's entry in l.tables.
 	idx []int
 	// What the closures found the last time they ran an action: per
-	// action the guard's failure, and per assignment (numbered across
-	// the program) the right-hand side's value and failure.
-	guardErrs []*EvalError
-	vals      []int
-	errs      []*EvalError
+	// assignment (numbered across the program) the right-hand side's
+	// value and failure, and then, after the assignments' failures, per
+	// action the guard's failure.
+	vals []int
+	errs []*EvalError
+	// tail is Successors' scratch for a dst without room for a
+	// successor per action, made on first use.
+	tail []int
 }
 
 // NewCursor returns a cursor positioned before state 0.
 func (l *Lowered) NewCursor() *Cursor {
 	nv, na, ni := len(l.card), len(l.actions), len(l.actions)+len(l.init)
 	ints := make([]int, nv+ni+l.numAsg)
-	errs := make([]*EvalError, na+l.numAsg)
 	c := &Cursor{
-		l:         l,
-		state:     -1,
-		m:         machine{env: ints[:nv:nv]},
-		idx:       ints[nv : nv+ni : nv+ni],
-		guardErrs: errs[:na:na],
-		vals:      ints[nv+ni:],
-		errs:      errs[na:],
+		l:     l,
+		state: -1,
+		m:     machine{env: ints[:nv:nv]},
+		idx:   ints[nv : nv+ni : nv+ni],
+		vals:  ints[nv+ni:],
+		errs:  make([]*EvalError, l.numAsg+na),
 	}
 	for i := range c.idx {
 		c.idx[i] = l.slot(i).base
@@ -614,22 +615,67 @@ func (c *Cursor) conj(ci int) (int, *EvalError) {
 
 // Moves appends the current state's moves, in action order, to dst and
 // returns the extended slice.
+//
+// Moves and Successors emit without a data-dependent branch per action:
+// each candidate is written to the next free slot unconditionally, and
+// the slot is kept, by advancing the output index, only when the entry
+// is not "disabled". Only "evaluate" entries take the closure path, a
+// branch that ring programs never take.
 func (c *Cursor) Moves(dst []Move) []Move {
-	tables := c.l.tables
-	for ai, i := range c.idx[:len(c.l.actions)] {
+	tables, idx := c.l.tables, c.idx[:len(c.l.actions)]
+	dst = slices.Grow(dst, len(idx))
+	out, k := dst[len(dst):len(dst)+len(idx)], 0
+	for ai, i := range idx {
 		e := tables[i]
-		if e == entryDisabled {
-			continue
-		}
 		next := c.state + int(e)
 		if e == entryEvaluate {
 			if next = c.evaluate(ai); next == disabled {
 				continue
 			}
 		}
-		dst = append(dst, Move{Action: ai, Next: next})
+		out[k] = Move{Action: ai, Next: next}
+		k += b2i(e != entryDisabled)
 	}
-	return dst
+	return dst[:len(dst)+k]
+}
+
+// Successors appends the current state's successors, in action order,
+// to dst. It returns the extended slice and −1, or, when an action
+// faults, the slice as far as the actions before it and that action:
+// the first Faulted move in Moves' order, whose error Fault gives.
+// Sweeps that need no action labels use it instead of Moves.
+func (c *Cursor) Successors(dst []int) ([]int, int) {
+	na := len(c.l.actions)
+	if cap(dst)-len(dst) >= na {
+		return c.emit(dst)
+	}
+	// Too little room to write every candidate, as in the last states of
+	// an exactly sized array: emit into the cursor's own scratch.
+	if c.tail == nil {
+		c.tail = make([]int, 0, na)
+	}
+	tail, fault := c.emit(c.tail)
+	return append(dst, tail...), fault
+}
+
+// emit is Successors on a dst with room for a successor per action.
+func (c *Cursor) emit(dst []int) ([]int, int) {
+	tables, idx := c.l.tables, c.idx[:len(c.l.actions)]
+	out, k := dst[len(dst):len(dst)+len(idx)], 0
+	for ai, i := range idx {
+		e := tables[i]
+		next := c.state + int(e)
+		if e == entryEvaluate {
+			if next = c.evaluate(ai); next == disabled {
+				continue
+			} else if next == Faulted {
+				return dst[:len(dst)+k], ai
+			}
+		}
+		out[k] = next
+		k += b2i(e != entryDisabled)
+	}
+	return dst[:len(dst)+k], -1
 }
 
 // evaluate steps action ai by its closures, for "evaluate" entries and
@@ -654,7 +700,7 @@ func (c *Cursor) run(ai int) (on bool, delta int, fault bool) {
 	la := &c.l.actions[ai]
 	c.m.err = nil
 	g := la.guard(&c.m)
-	if c.guardErrs[ai] = c.m.err; c.m.err != nil {
+	if c.errs[c.l.numAsg+ai] = c.m.err; c.m.err != nil {
 		return false, 0, true
 	}
 	if g == 0 {
@@ -676,7 +722,7 @@ func (c *Cursor) run(ai int) (on bool, delta int, fault bool) {
 
 // GuardFaulted reports whether action ai, Faulted in the current state,
 // failed in its guard rather than in an assignment.
-func (c *Cursor) GuardFaulted(ai int) bool { return c.guardErrs[ai] != nil }
+func (c *Cursor) GuardFaulted(ai int) bool { return c.errs[c.l.numAsg+ai] != nil }
 
 // Escaped reports whether assignment asi of action ai, Faulted in the
 // current state, evaluated to a value outside its target's domain. An
@@ -692,7 +738,7 @@ func (c *Cursor) Escaped(ai, asi int) bool {
 // Fault is the compile error of action ai, Faulted in the current state:
 // the guard's failure, or else the first faulted assignment's.
 func (c *Cursor) Fault(ai int) error {
-	err := c.guardErrs[ai]
+	err := c.errs[c.l.numAsg+ai]
 	if err == nil {
 		err = c.assignFault(ai)
 	}

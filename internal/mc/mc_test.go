@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -327,5 +328,60 @@ func TestLassoStates(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("States = %v", got)
 		}
+	}
+}
+
+// TestSCCsOnRecycledArrays condenses a system into arrays drawn from a
+// pool full of stale values, on the whole space and on a subset, and
+// expects what a condensation into fresh arrays gives.
+func TestSCCsOnRecycledArrays(t *testing.T) {
+	const n = 600 // above the smallest size the pool keeps
+	rng := rand.New(rand.NewSource(7))
+	var edges [][2]int
+	for i := 0; i < 2*n; i++ {
+		edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+	}
+	sys := build(t, n, edges)
+	within := bitset.New(n)
+	for s := 0; s < n; s += 3 {
+		within.Add(s)
+	}
+	for _, region := range []*bitset.Set{nil, within} {
+		fresh := SCCs(sys, region)
+		want := Condensation{Comp: slices.Clone(fresh.Comp), Off: slices.Clone(fresh.Off),
+			Members: slices.Clone(fresh.Members), Cyclic: slices.Clone(fresh.Cyclic)}
+		fresh.Release()
+		for i := 0; i < 8; i++ {
+			stale := make([]int, n+1+i%2)
+			for j := range stale {
+				stale[j] = rng.Intn(n) - 1
+			}
+			system.PutInts(stale)
+		}
+		got := SCCs(sys, region)
+		if !slices.Equal(got.Comp, want.Comp) || !slices.Equal(got.Off, want.Off) ||
+			!slices.Equal(got.Members, want.Members) || !slices.Equal(got.Cyclic, want.Cyclic) {
+			t.Fatalf("condensation into recycled arrays differs from a fresh one (within %v)", region != nil)
+		}
+		got.Release()
+	}
+}
+
+func TestReleasedCondensationPanics(t *testing.T) {
+	sys := build(t, 3, [][2]int{{0, 1}, {1, 0}, {1, 2}})
+	for name, use := range map[string]func(*Condensation){
+		"Comp":      func(cd *Condensation) { _ = cd.Comp[0] },
+		"Component": func(cd *Condensation) { cd.Component(0) },
+	} {
+		cd := SCCs(sys, nil)
+		cd.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released condensation did not panic", name)
+				}
+			}()
+			use(cd)
+		}()
 	}
 }

@@ -24,11 +24,27 @@ type Condensation struct {
 	Cyclic []bool
 }
 
+// Release gives the condensation's Σ-sized arrays back to the pool
+// system.Ints draws from, and clears them, so a later use panics instead
+// of reading arrays another check has reused. Call it where the
+// condensation dies, once nothing read from Comp, Off or Members is
+// still held.
+func (cd *Condensation) Release() {
+	system.PutInts(cd.Comp)
+	system.PutInts(cd.Off)
+	system.PutInts(cd.Members)
+	cd.Comp, cd.Off, cd.Members, cd.Cyclic = nil, nil, nil, nil
+}
+
 // Len returns the number of components.
 func (cd *Condensation) Len() int { return len(cd.Off) - 1 }
 
-// Component returns the members of component i.
-func (cd *Condensation) Component(i int) []int { return cd.Members[cd.Off[i]:cd.Off[i+1]] }
+// Component returns the members of component i. Its capacity ends with
+// the component, so an append cannot spill into the next one.
+func (cd *Condensation) Component(i int) []int {
+	lo, hi := cd.Off[i], cd.Off[i+1]
+	return cd.Members[lo:hi:hi]
+}
 
 // SCCs computes the strongly connected components of sys restricted to the
 // states in `within` (nil means all states), using an iterative Tarjan
@@ -39,25 +55,28 @@ func SCCs(sys *system.System, within *bitset.Set) *Condensation {
 }
 
 // SCCsGas is SCCs under a meter: it ticks g 1+|succ| per discovered
-// state. The per-state buffers are sized from the state count once; the
-// DFS call stack grows with the search depth, which on the ring families
-// is a few dozen frames however many states there are.
+// state. The per-state buffers are sized from the state count once and
+// drawn from system.Ints; the DFS call stack grows with the search
+// depth, which on the ring families is a few dozen frames however many
+// states there are.
 func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, error) {
 	n := sys.NumStates()
 	// index −1 means unvisited. A visited state stays on Tarjan's stack
 	// until its component is emitted, so "on the stack" is "visited with
 	// Comp < 0".
-	index := make([]int, n)
-	comp := make([]int, n)
+	index := system.Ints(n)
+	defer system.PutInts(index)
+	comp := system.Ints(n)
 	for s := range index {
 		index[s] = -1
 		comp[s] = -1
 	}
 	// Emitted members fill buf from the front and Tarjan's stack grows down
 	// from the back: together they never hold more than n states.
-	buf := make([]int, n)
+	buf := system.Ints(n)
 	emitted, top := 0, n
-	cd := &Condensation{Comp: comp, Off: make([]int, 1, n+1), Cyclic: make([]bool, 0, n)}
+	cd := &Condensation{Comp: comp, Off: system.Ints(n + 1)[:1], Cyclic: make([]bool, 0, n)}
+	cd.Off[0] = 0
 
 	// Iterative DFS with an explicit call frame per state on the DFS path.
 	// A state's low-link is read only while it is on that path, so it
@@ -80,6 +99,8 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, err
 			succ := sys.Succ(f.s)
 			if index[f.s] < 0 {
 				if err := g.Tick(1 + len(succ)); err != nil {
+					cd.Members = buf // so that Release gives buf back too
+					cd.Release()
 					return nil, err
 				}
 				index[f.s], f.low = next, next
@@ -135,7 +156,7 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, err
 			}
 		}
 	}
-	cd.Members = buf[:emitted:emitted]
+	cd.Members = buf[:emitted]
 	return cd, nil
 }
 
@@ -160,6 +181,7 @@ func FindCycleWithinGas(g *Gas, sys *system.System, within *bitset.Set) (*Cycle,
 	if err != nil {
 		return nil, err
 	}
+	defer cd.Release()
 	for i := 0; i < cd.Len(); i++ {
 		if err := g.Tick(1); err != nil {
 			return nil, err

@@ -248,6 +248,9 @@ func (s *Server) handleSelfStab(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, enumerationError(g, "source", err)
 		}
+		// The job alone holds the system, and the response below copies
+		// out all it needs, so its rows go back to the pool on return.
+		defer c.System.Release()
 		rep, err := core.SelfStabilizingGas(g, c.System)
 		if err != nil {
 			return nil, err
@@ -299,10 +302,12 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, enumerationError(g, "concrete", err)
 		}
+		defer cc.System.Release()
 		ca, err := gcl.CompileProgramGas(g, "abstract", abstract)
 		if err != nil {
 			return nil, enumerationError(g, "abstract", err)
 		}
+		defer ca.System.Release()
 		vInit, err := core.RefinementInitGas(g, cc.System, ca.System, nil)
 		if err != nil {
 			return nil, err

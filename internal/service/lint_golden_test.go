@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"regexp"
 	"testing"
 
+	"repro/internal/gcl"
+	"repro/internal/gcl/analysis"
 	"repro/internal/ring"
 )
 
@@ -70,5 +73,40 @@ func TestLintBodyGolden(t *testing.T) {
 				t.Fatalf("cache hit body differs from the miss:\n got  %s\n want %s", hit, want)
 			}
 		})
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestLintEncodeAllocs bounds the allocations of encoding the D3 N = 6
+// lint body (55 diagnostics) the way writeJSON does: the encoder itself
+// and nothing per diagnostic, so the severity and confidence names are
+// not rebuilt on every call.
+func TestLintEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so encoding/json's pooled encoder state allocates")
+	}
+	prog, err := gcl.Parse(ring.Dijkstra3GCL(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, analysis.Options{Exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := LintResponse{Program: gcl.Fingerprint(prog), States: res.States, Exact: res.Exact,
+		AnalyzerVersion: analysis.Version(), Errors: analysis.ErrorCount(res.Diags), Diags: res.Diags}
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("encoding the D3 N = 6 lint body (%d diagnostics) makes %.0f allocations, want at most 2", len(res.Diags), allocs)
 	}
 }

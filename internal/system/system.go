@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/bitset"
 )
@@ -20,13 +19,14 @@ import (
 //
 // Systems are immutable once built; construct them with a Builder or from
 // rows with FromSuccessors (gcl compiles guarded-command programs into
-// them).
+// them). The owner of a system nobody else holds may Release it, giving
+// its rows back for a later system to reuse.
 type System struct {
 	name  string
 	space *Space // may be nil for raw index-based systems
 	n     int
 	off   []int // len n+1
-	succ  []int // len off[n]
+	succ  []int // len off[n]; its capacity may run past that
 	init  *bitset.Set
 }
 
@@ -107,7 +107,8 @@ func (b *Builder) Build() *System {
 // FromSuccessors builds a system from compressed sparse rows: the
 // successors of state s are targets[off[s]:off[s+1]], in any order and
 // possibly repeated. It takes ownership of off, targets and init
-// (nil means I = ∅), sorting and deduplicating each row in place. It
+// (nil means I = ∅), sorting and deduplicating each row in place and
+// keeping targets' full capacity, so that Release can give it back. It
 // panics on malformed rows or out-of-range states, and, when sp is
 // non-nil, on a row count other than sp.Size().
 func FromSuccessors(name string, sp *Space, off, targets []int, init *bitset.Set) *System {
@@ -130,7 +131,11 @@ func FromSuccessors(name string, sp *Space, off, targets []int, init *bitset.Set
 			panic(fmt.Sprintf("system: malformed successor rows for %q", name))
 		}
 		row := targets[start:end]
-		slices.Sort(row)
+		if len(row) <= shortRow {
+			insertionSort(row)
+		} else {
+			slices.Sort(row)
+		}
 		off[s] = w
 		prev := -1
 		for _, t := range row {
@@ -146,7 +151,32 @@ func FromSuccessors(name string, sp *Space, off, targets []int, init *bitset.Set
 		start = end
 	}
 	off[n] = w
-	return &System{name: name, space: sp, n: n, off: off, succ: targets[:w:w], init: init}
+	return &System{name: name, space: sp, n: n, off: off, succ: targets[:w], init: init}
+}
+
+// shortRow is the longest row FromSuccessors sorts by insertion: a ring
+// state has a successor per enabled process, a handful.
+const shortRow = 8
+
+func insertionSort(row []int) {
+	for i := 1; i < len(row); i++ {
+		t, j := row[i], i
+		for ; j > 0 && row[j-1] > t; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = t
+	}
+}
+
+// Release gives the system's rows back to the pool that Ints draws
+// from, and clears them: a later Succ, HasTransition or Terminal on sys
+// panics instead of reading rows another check has reused. Release only
+// a system you built and never shared; the copies Rename and WithInit
+// return share its rows.
+func (sys *System) Release() {
+	PutInts(sys.off)
+	PutInts(sys.succ)
+	sys.off, sys.succ = nil, nil
 }
 
 // Name returns the system's display name.
@@ -170,11 +200,20 @@ func (sys *System) Succ(s int) []int {
 	return sys.succ[lo:hi:hi]
 }
 
-// HasTransition reports whether (s, t) ∈ T.
+// HasTransition reports whether (s, t) ∈ T. A short row is scanned;
+// a long one is searched.
 func (sys *System) HasTransition(s, t int) bool {
 	ts := sys.Succ(s)
-	i := sort.SearchInts(ts, t)
-	return i < len(ts) && ts[i] == t
+	if len(ts) > shortRow {
+		_, found := slices.BinarySearch(ts, t)
+		return found
+	}
+	for _, u := range ts {
+		if u >= t {
+			return u == t
+		}
+	}
+	return false
 }
 
 // Terminal reports whether s has no outgoing transition (computations
