@@ -65,7 +65,7 @@ bench:
 # a change to internal/sim can compare before and after: one CPU, five
 # counts. It is not a CI step; shared runners make benchmarks noisy.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput|SimConvergence|LiveRing|ClusterRing' -benchmem -cpu 1 -count 5 .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput|NewProtocol|SimConvergence|LiveRing|ClusterRing' -benchmem -cpu 1 -count 5 .
 
 # bench-core records the checker-kernel benchmarks the same way every
 # time, for before/after comparisons of a change to enumeration, the

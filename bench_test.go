@@ -255,8 +255,8 @@ func BenchmarkConvergenceRefinementCheck(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw move execution after
 // convergence (token circulation). K-state rings run at K = P, the
-// service default: at P = 32 its processes are memoized, at P = 128 they
-// span more points than a memo table holds.
+// service default; at both sizes every action of the template has a
+// table.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, tc := range []struct {
 		family, name string
@@ -276,6 +276,27 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ResetTimer()
 			if _, err := r.Run(legit); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkNewProtocol measures building a protocol, which /v1/ringsim,
+// /v1/cluster and /v1/chaos do per request: compiling the template,
+// lowering it, and filling the tables that fit. K-state at K = 64 and
+// 128 fills tables; at K = 1000 its actions are too large to tabulate.
+func BenchmarkNewProtocol(b *testing.B) {
+	for _, tc := range []struct {
+		family, name string
+		p, k         int
+	}{
+		{"dijkstra3", "Dijkstra3/P=10000", 10000, 0},
+		{"kstate", "KState/K=64", 64, 64}, {"kstate", "KState/K=128", 128, 128}, {"kstate", "KState/K=1000", 1000, 1000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newProto(tc.family, tc.p, tc.k)
 			}
 		})
 	}

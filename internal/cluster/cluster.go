@@ -270,28 +270,25 @@ func runStepped(ctx context.Context, opts Options, inj *injector, initial sim.Co
 				if _, ok := ask(nodes[f.Node], command{kind: cmdCorrupt, val: f.Val}); !ok {
 					return nil, ctx.Err()
 				}
-				mon.ObserveFault(step, f, f.Val)
 			case FaultRestart:
 				if _, ok := ask(nodes[f.Node], command{kind: cmdRestart}); !ok {
 					return nil, ctx.Err()
 				}
-				mon.ObserveFault(step, f, 0)
 			case FaultCrash:
 				if _, ok := ask(nodes[f.Node], command{kind: cmdCrash}); !ok {
 					return nil, ctx.Err()
 				}
 				sup.crash(step, f)
+				continue
 			case FaultStall:
 				stalledUntil[f.Node] = step + f.Count
-				mon.ObserveFault(step, f, 0)
 			case FaultPartition, FaultIsolate:
 				inj.arm(f)
 				heals = append(heals, heal{at: step + f.Count, f: f})
-				mon.ObserveFault(step, f, 0)
 			default: // drop | dup | delay
 				inj.arm(f)
-				mon.ObserveFault(step, f, 0)
 			}
+			mon.ObserveFault(step, f)
 		}
 		healed := false
 		keep := heals[:0]

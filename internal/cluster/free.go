@@ -87,25 +87,22 @@ func runFree(ctx context.Context, opts Options, inj *injector, initial sim.Confi
 					f.Val = rng.Intn(proto.Domain(f.Node))
 				}
 				tell(f.Node, command{kind: cmdCorrupt, val: f.Val})
-				mon.ObserveFault(clock, f, f.Val)
 			case FaultRestart:
 				tell(f.Node, command{kind: cmdRestart})
-				mon.ObserveFault(clock, f, 0)
 			case FaultCrash:
 				tell(f.Node, command{kind: cmdCrash})
 				sup.crash(clock, f)
+				continue
 			case FaultStall:
 				tell(f.Node, command{kind: cmdStall})
 				resumes = append(resumes, resume{step: clock + f.Count, node: f.Node})
-				mon.ObserveFault(clock, f, 0)
 			case FaultPartition, FaultIsolate:
 				inj.arm(f)
 				heals = append(heals, heal{at: clock + f.Count, f: f})
-				mon.ObserveFault(clock, f, 0)
 			default: // drop | dup | delay
 				inj.arm(f)
-				mon.ObserveFault(clock, f, 0)
 			}
+			mon.ObserveFault(clock, f)
 		}
 		healed := false
 		keepHeals := heals[:0]

@@ -62,6 +62,7 @@ type Stabilization struct {
 type Monitor struct {
 	proto       *sim.Protocol
 	view        sim.Config
+	tokens      int // the view's token count
 	legit       bool
 	brokenAt    int
 	crashed     map[int]bool
@@ -89,15 +90,22 @@ func newMonitor(p *sim.Protocol, initial sim.Config, recordMoves bool) *Monitor 
 			size *= m.radix[i]
 		}
 	}
-	m.legit = p.Legitimate(m.view)
 	m.observeState()
-	ev := Event{Step: 0, Kind: KindStart, Node: -1, Tokens: sim.TokenCount(p, m.view), Config: m.view.Clone()}
-	m.events = append(m.events, ev)
+	m.legit = m.tokens == 1
+	m.emit(Event{Step: 0, Kind: KindStart, Node: -1, Config: m.view.Clone()})
 	return m
 }
 
-// observeState records the current view in the trace recorder.
+// emit appends an event, with the view's token count.
+func (m *Monitor) emit(ev Event) {
+	ev.Tokens = m.tokens
+	m.events = append(m.events, ev)
+}
+
+// observeState counts the current view's tokens and records the view in
+// the trace recorder.
 func (m *Monitor) observeState() {
+	m.tokens = sim.TokenCount(m.proto, m.view)
 	if !m.encode {
 		return
 	}
@@ -114,19 +122,17 @@ func (m *Monitor) observeState() {
 // privilege — so a stabilization that spans a crash includes the full
 // downtime (backoff, restart, and state replay) in its step count.
 func (m *Monitor) checkTransition(step int) {
-	now := m.proto.Legitimate(m.view) && len(m.crashed) == 0
-	tokens := sim.TokenCount(m.proto, m.view)
+	now := m.tokens == 1 && len(m.crashed) == 0
 	switch {
 	case now && !m.legit:
 		m.legit = true
 		stab := Stabilization{BrokenAt: m.brokenAt, StableAt: step, Steps: step - m.brokenAt}
 		m.stabs = append(m.stabs, stab)
-		m.events = append(m.events, Event{Step: step, Kind: KindStabilized, Node: -1,
-			Tokens: tokens, Config: m.view.Clone(), After: stab.Steps})
+		m.emit(Event{Step: step, Kind: KindStabilized, Node: -1, Config: m.view.Clone(), After: stab.Steps})
 	case !now && m.legit:
 		m.legit = false
 		m.brokenAt = step
-		m.events = append(m.events, Event{Step: step, Kind: KindDestabilized, Node: -1, Tokens: tokens})
+		m.emit(Event{Step: step, Kind: KindDestabilized, Node: -1})
 	}
 }
 
@@ -135,25 +141,23 @@ func (m *Monitor) ObserveMove(step, node int, rule string, val int) {
 	m.view[node] = val
 	m.observeState()
 	if m.recordMoves {
-		m.events = append(m.events, Event{Step: step, Kind: KindMove, Node: node, Rule: rule,
-			Tokens: sim.TokenCount(m.proto, m.view)})
+		m.emit(Event{Step: step, Kind: KindMove, Node: node, Rule: rule})
 	}
 	m.checkTransition(step)
 }
 
-// ObserveFault records an applied fault. For state faults (corrupt,
-// restart) val is the register value the fault wrote and the view is
-// updated; link and stall faults leave the view untouched.
-func (m *Monitor) ObserveFault(step int, f Fault, val int) {
-	switch f.Kind {
-	case FaultCorrupt, FaultRestart:
-		if !m.crashed[f.Node] { // state faults on a dead process hit nothing
-			m.view[f.Node] = val
-			m.observeState()
-		}
+// ObserveFault records an applied fault. A state fault writes the view:
+// a corrupt writes f.Val, which the engine has resolved, and a restart
+// the boot value 0. Link and stall faults leave the view untouched.
+func (m *Monitor) ObserveFault(step int, f Fault) {
+	if f.Kind == FaultRestart {
+		f.Val = 0
 	}
-	m.events = append(m.events, Event{Step: step, Kind: KindFault, Node: f.Node, Fault: f.String(),
-		Tokens: sim.TokenCount(m.proto, m.view)})
+	if (f.Kind == FaultCorrupt || f.Kind == FaultRestart) && !m.crashed[f.Node] { // state faults on a dead process hit nothing
+		m.view[f.Node] = f.Val
+		m.observeState()
+	}
+	m.emit(Event{Step: step, Kind: KindFault, Node: f.Node, Fault: f.String()})
 	m.checkTransition(step)
 }
 
@@ -161,8 +165,7 @@ func (m *Monitor) ObserveFault(step int, f Fault, val int) {
 // is gone and messages flow again. The view is untouched — healing
 // restores communication, not state.
 func (m *Monitor) ObserveHeal(step int, f Fault) {
-	m.events = append(m.events, Event{Step: step, Kind: KindHeal, Node: healNode(f), Fault: f.String(),
-		Tokens: sim.TokenCount(m.proto, m.view)})
+	m.emit(Event{Step: step, Kind: KindHeal, Node: healNode(f), Fault: f.String()})
 }
 
 // healNode mirrors the fault event's node attribution: isolate names
@@ -178,8 +181,7 @@ func healNode(f Fault) int {
 // which forces the view illegitimate until every node is back up.
 func (m *Monitor) ObserveCrash(step int, f Fault) {
 	m.crashed[f.Node] = true
-	m.events = append(m.events, Event{Step: step, Kind: KindCrashed, Node: f.Node, Fault: f.String(),
-		Tokens: sim.TokenCount(m.proto, m.view)})
+	m.emit(Event{Step: step, Kind: KindCrashed, Node: f.Node, Fault: f.String()})
 	m.checkTransition(step)
 }
 
@@ -191,29 +193,25 @@ func (m *Monitor) ObserveRecovered(step, node, val int, from string) {
 	delete(m.crashed, node)
 	m.view[node] = val
 	m.observeState()
-	m.events = append(m.events, Event{Step: step, Kind: KindRecovered, Node: node, From: from,
-		Tokens: sim.TokenCount(m.proto, m.view)})
+	m.emit(Event{Step: step, Kind: KindRecovered, Node: node, From: from})
 	m.checkTransition(step)
 }
 
 // ObserveCrashLoop flags a node crashing repeatedly within the
 // supervisor's detection window.
 func (m *Monitor) ObserveCrashLoop(step, node, count int) {
-	m.events = append(m.events, Event{Step: step, Kind: KindCrashLoop, Node: node,
-		Fault:  fmt.Sprintf("%d crashes within %d steps", count, crashLoopWindow),
-		Tokens: sim.TokenCount(m.proto, m.view)})
+	m.emit(Event{Step: step, Kind: KindCrashLoop, Node: node,
+		Fault: fmt.Sprintf("%d crashes within %d steps", count, crashLoopWindow)})
 }
 
 // Snapshot emits a periodic tokens-over-time event.
 func (m *Monitor) Snapshot(step int) {
-	m.events = append(m.events, Event{Step: step, Kind: KindSnapshot, Node: -1,
-		Tokens: sim.TokenCount(m.proto, m.view), Config: m.view.Clone()})
+	m.emit(Event{Step: step, Kind: KindSnapshot, Node: -1, Config: m.view.Clone()})
 }
 
 // Finish closes the stream.
 func (m *Monitor) Finish(step int) {
-	m.events = append(m.events, Event{Step: step, Kind: KindFinish, Node: -1,
-		Tokens: sim.TokenCount(m.proto, m.view), Config: m.view.Clone()})
+	m.emit(Event{Step: step, Kind: KindFinish, Node: -1, Config: m.view.Clone()})
 }
 
 // Legitimate reports whether the current view is in the legitimate

@@ -78,12 +78,13 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 	// and then, to count reachEnab without a second sweep, per action the
 	// states where its guard held: bit s of row ai of enabledAt, words
 	// uint64s a row (an eighth of a byte per state and action).
-	var off, succ []int32
+	var off, succ []int
 	var enabledAt []uint64
 	words := (n + 63) / 64
 	if prog.Init != nil {
-		off = make([]int32, n+1)
-		succ = make([]int32, 0, l.Transitions())
+		off, succ = system.Ints(n+1), system.Ints(l.Transitions())[:0]
+		defer func() { system.PutInts(off); system.PutInts(succ) }() // on every return
+		off[0] = 0
 		enabledAt = make([]uint64, numA*words)
 	}
 	initStates := make([]int, 0, 16)
@@ -124,7 +125,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 					}
 				}
 			} else if off != nil {
-				succ = append(succ, int32(ns))
+				succ = append(succ, ns)
 			}
 			f.enabled[ai]++
 			if enabledAt != nil {
@@ -136,7 +137,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 			enabled = append(enabled, m)
 		}
 		if off != nil {
-			off[s+1] = int32(len(succ))
+			off[s+1] = len(succ)
 		}
 		// Co-enabled pairs that disagree on the successor state: the
 		// daemon's choice is observable. Pairs with identical successors
@@ -183,7 +184,7 @@ func runExact(prog *gcl.Program, gas *mc.Gas) (*exactFacts, error) {
 				}
 				if !f.reachable[ns] {
 					f.reachable[ns] = true
-					queue = append(queue, int(ns))
+					queue = append(queue, ns)
 				}
 			}
 		}

@@ -16,25 +16,6 @@ func Parse(src string) (*Program, error) {
 	return p.parseProgram()
 }
 
-// ParseExpr parses src as a single expression. Like Parse's result, the
-// expression is not yet checked: its identifiers resolve when Check runs
-// on a program that holds it.
-func ParseExpr(src string) (Expr, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(KindEOF); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []Token
 	i    int

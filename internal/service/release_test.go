@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gcl"
+	"repro/internal/gcl/analysis"
 	"repro/internal/ring"
 )
 
@@ -62,11 +63,30 @@ func unreleasedRefine(t *testing.T, concrete, abstract string) RefineResponse {
 		Holds: vInit.Holds && vEvery.Holds && vConv.Holds && vStab.Holds}
 }
 
-// TestConcurrentMissesMatchUnreleased runs selfstab and refine misses
-// from four clients at once on four workers, so the rows and SCC arrays
-// one check releases are reused by checks running beside it, and
-// compares every response with the same checks on systems that are
-// never released. Run it under -race: a check that read rows after
+// lintAlone lints a program outside the service, with no other check
+// running beside it.
+func lintAlone(t *testing.T, src string) LintResponse {
+	prog, err := gcl.Parse(src)
+	if err == nil {
+		err = gcl.Check(prog)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, analysis.Options{Exact: true})
+	if err != nil || !res.Exact {
+		t.Fatalf("exact tier did not complete: %v", err)
+	}
+	return LintResponse{Program: gcl.Fingerprint(prog), States: res.States, Exact: true,
+		AnalyzerVersion: analysis.Version(), Errors: analysis.ErrorCount(res.Diags), Diags: res.Diags}
+}
+
+// TestConcurrentMissesMatchUnreleased runs selfstab, refine and lint
+// misses from four clients at once on four workers, so the rows and SCC
+// arrays one check releases, and the successor rows of the exact lint
+// tier, are reused by checks running beside it, and compares every
+// response with the same checks on systems that are never released (for
+// lint, run alone). Run it under -race: a check that read rows after
 // giving them back would race with the check that reuses them.
 func TestConcurrentMissesMatchUnreleased(t *testing.T) {
 	const n = 5 // 729 states: the rows and SCC arrays are large enough to pool
@@ -82,7 +102,8 @@ func TestConcurrentMissesMatchUnreleased(t *testing.T) {
 			a3 := ringVariant(ring.AggressiveThreeGCL(n), "c", a, b)
 			k3 := ringVariant(ring.KStateGCL(n, 3), "x", a, b)
 			for _, src := range []string{d3, a3, k3} {
-				jobs = append(jobs, job{"/v1/selfstab", SelfStabRequest{Source: src}, unreleasedSelfStab(t, src)})
+				jobs = append(jobs, job{"/v1/selfstab", SelfStabRequest{Source: src}, unreleasedSelfStab(t, src)},
+					job{"/v1/lint", LintRequest{Source: src}, lintAlone(t, src)})
 			}
 			jobs = append(jobs,
 				job{"/v1/refine", RefineRequest{Concrete: a3, Abstract: d3}, unreleasedRefine(t, a3, d3)},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -70,8 +71,9 @@ func (d *RoundRobinDaemon) Choose(moves []Move) Move {
 
 // GreedyDaemon is an adversarial heuristic: it picks the move whose
 // successor configuration has the most tokens (slowest convergence),
-// breaking ties by lowest process index. It needs the protocol to evaluate
-// successors.
+// breaking ties by lowest process index. It scores a move by the token
+// change at its process and the two beside it, all the move can change,
+// making the move on the observed configuration and undoing it.
 type GreedyDaemon struct {
 	proto *Protocol
 	cur   Config
@@ -94,16 +96,24 @@ func (d *GreedyDaemon) Choose(moves []Move) Move {
 	if d.cur == nil {
 		return moves[0]
 	}
-	best := moves[0]
-	bestTokens := -1
-	scratch := d.cur.Clone()
+	around := func(i int) (n int) { // the privileged among i−1, i and i+1
+		for j := i - 1; j <= i+1; j++ {
+			if d.proto.TokenAt(d.cur, (j+len(d.cur))%len(d.cur)) {
+				n++
+			}
+		}
+		return n
+	}
+	best, bestGain := moves[0], math.MinInt
 	for _, m := range moves {
-		scratch[m.Proc] = m.NewVal
-		tokens := TokenCount(d.proto, scratch)
-		scratch[m.Proc] = d.cur[m.Proc]
-		if tokens > bestTokens {
-			bestTokens = tokens
-			best = m
+		// Score the move in place, and put the register back.
+		old := d.cur[m.Proc]
+		gain := -around(m.Proc)
+		d.cur[m.Proc] = m.NewVal
+		gain += around(m.Proc)
+		d.cur[m.Proc] = old
+		if gain > bestGain {
+			best, bestGain = m, gain
 		}
 	}
 	return best

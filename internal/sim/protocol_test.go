@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gcl"
+	"repro/internal/ring"
 	"repro/internal/system"
 )
 
@@ -21,8 +22,9 @@ import (
 // moves are the non-τ edges in process then action order with the
 // action's name minus its index as the rule, and a process is privileged
 // iff one of its actions is enabled (for dijkstra3's top, or ↑t.N holds).
-// kstate at K = 70 spans more points than a memo table holds, so it
-// checks the unmemoized evaluation.
+// Each case is checked twice: as NewProtocol builds it, every action
+// with a table, and compiled with no table budget, every action by its
+// closures.
 func TestDijkstra3MatchesModel(t *testing.T) { checkFamilyMatchesTemplate(t, "dijkstra3", 0) }
 
 func TestDijkstra4MatchesModel(t *testing.T) { checkFamilyMatchesTemplate(t, "dijkstra4", 0) }
@@ -35,6 +37,15 @@ func TestKStateMatchesModel(t *testing.T) {
 
 func TestNewThreeMatchesModel(t *testing.T) { checkFamilyMatchesTemplate(t, "newthree", 0) }
 
+// published is each family's ring template as the ring package publishes
+// it, which families extends for the simulator.
+var published = map[string]func(n, k int) string{
+	"dijkstra3": func(n, _ int) string { return ring.Dijkstra3GCL(n) },
+	"dijkstra4": func(n, _ int) string { return ring.Dijkstra4GCL(n) },
+	"kstate":    ring.KStateGCL,
+	"newthree":  func(n, _ int) string { return ring.NewThreeGCL(n) },
+}
+
 // checkFamilyMatchesTemplate runs checkTemplateCase at N = 2..5.
 func checkFamilyMatchesTemplate(t *testing.T, family string, k int) {
 	t.Helper()
@@ -46,7 +57,7 @@ func checkFamilyMatchesTemplate(t *testing.T, family string, k int) {
 func checkTemplateCase(t *testing.T, family string, n, k int) {
 	t.Helper()
 	t.Run(fmt.Sprintf("N=%d,K=%d", n, k), func(t *testing.T) {
-		prog, err := gcl.Parse(families[family].template(n, k))
+		prog, err := gcl.Parse(published[family](n, k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,14 +65,33 @@ func checkTemplateCase(t *testing.T, family string, n, k int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proto := newProto(family, n+1, k)
-		checkAgainstLabeled(t, family, n, proto, prog, ls)
-		for i := range proto.procs {
-			if memoized := proto.procs[i].memo != nil; memoized != (k <= 64) {
-				t.Fatalf("process %d memoized = %v at K = %d", i, memoized, k)
-			}
+		closures, err := compile("closures", families[family](n, k), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		proto := newProto(family, n+1, k)
+		if tables, untabled := tabulated(proto); untabled != 0 {
+			t.Fatalf("%d actions with tables, %d without, under the budget", tables, untabled)
+		}
+		if tables, _ := tabulated(closures); tables != 0 {
+			t.Fatalf("%d actions with tables under a zero budget", tables)
+		}
+		checkAgainstLabeled(t, family, n, proto, prog, ls)
+		checkAgainstLabeled(t, family, n, closures, prog, ls)
 	})
+}
+
+// tabulated counts the actions of the protocol's lowered template with
+// and without a table.
+func tabulated(p *Protocol) (tables, closures int) {
+	for ai := range p.prog.Actions {
+		if _, base, _ := p.low.Index(ai); base != 0 {
+			tables++
+		} else {
+			closures++
+		}
+	}
+	return tables, closures
 }
 
 func checkAgainstLabeled(t *testing.T, family string, n int, proto *Protocol, prog *gcl.Program, ls *system.LabeledSystem) {
@@ -127,51 +157,59 @@ func checkAgainstLabeled(t *testing.T, family string, n int, proto *Protocol, pr
 func TestCompileRejectsNonRings(t *testing.T) {
 	const decls = "var a0 : 0..2; var a1 : 0..2; var a2 : 0..2; var a3 : 0..2;\n"
 	for _, tc := range []struct {
-		src, top, want string
+		src, want string
 	}{
 		{decls + "action s0: a2 == 0 -> a0 := 1;\naction s1: true -> a1 := 0;\n" +
-			"action s2: true -> a2 := 0;\naction s3: true -> a3 := 0;\n", "",
+			"action s2: true -> a2 := 0;\naction s3: true -> a3 := 0;\n",
 			"process 0 reads a2, outside its ring neighborhood"},
 		{decls + "action s0: true -> a0 := a1;\naction s1: true -> a1 := 0;\n" +
-			"action s2: true -> a2 := 0;\naction s3: true -> a3 := 0;\n", "a1 == 0",
+			"action s2: true -> a2 := 0;\naction s3: true -> a3 := 0;\naction t3: a1 == 0 -> a3 := a3;\n",
 			"process 3 reads a1, outside its ring neighborhood"},
-		{decls + "action s0: true -> a0 := 1;\naction s1: true -> a1 := 0;\naction s2: true -> a2 := 0;\n", "",
+		{decls + "action s0: true -> a0 := 1;\naction s1: true -> a1 := 0;\naction s2: true -> a2 := 0;\n",
 			`variable "a3" is written by no action`},
-		{decls + "action s0: true -> a0 := 1; a1 := 1;\naction s2: true -> a2 := 0; a3 := 0;\n", "",
+		{decls + "action s0: true -> a0 := 1; a1 := 1;\naction s2: true -> a2 := 0; a3 := 0;\n",
 			"a ring needs at least 3 processes, the program has 2"},
 	} {
-		_, err := compile("bad", tc.src, tc.top)
+		_, err := compile("bad", tc.src, tableBudget)
 		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
 			t.Errorf("compile error %v, want suffix %q", err, tc.want)
 		}
 	}
 }
 
-// TestProcessesShareMemoTables: a ring laid out from its template shares
-// the template's memo tables, so a large ring costs layoutFrom tables,
-// not one per process.
-func TestProcessesShareMemoTables(t *testing.T) {
+// TestProcessesShareTemplateTables: a ring laid out from its template
+// runs the template's processes, whose actions all look up the one
+// lowered template, so a large ring costs the tables of layoutFrom
+// processes, not one per process.
+func TestProcessesShareTemplateTables(t *testing.T) {
 	for _, tc := range []struct {
 		family string
 		k      int
 	}{{"dijkstra3", 0}, {"dijkstra4", 0}, {"kstate", 64}, {"newthree", 0}} {
 		proto := newProto(tc.family, 200, tc.k)
-		tables := make(map[*cell]bool)
+		procs := make(map[*process]bool)
 		for _, pr := range proto.procs {
-			tables[&pr.memo[0]] = true
+			procs[pr] = true
 		}
-		if len(tables) != layoutFrom {
-			t.Errorf("%s: %d memo tables over %d processes, want %d", tc.family, len(tables), proto.Procs(), layoutFrom)
+		if len(procs) != layoutFrom || len(proto.tmpl) != layoutFrom {
+			t.Errorf("%s: %d distinct processes over %d, from a template of %d, want %d",
+				tc.family, len(procs), proto.Procs(), len(proto.tmpl), layoutFrom)
+		}
+		if tables, closures := tabulated(proto); tables == 0 || closures != 0 {
+			t.Errorf("%s: %d actions with tables, %d without", tc.family, tables, closures)
+		}
+		if entries, _, _ := proto.low.Index(0); len(entries) > 1+tableBudget {
+			t.Errorf("%s: %d table entries, over the budget of %d", tc.family, len(entries)-1, tableBudget)
 		}
 	}
 }
 
 // TestProtocolConcurrentUse: the cluster runtime calls Moves and TokenAt
-// from one goroutine per node. Memoized and unmemoized processes (K = 70
-// is past the memo cap) must answer from several goroutines at once as
-// they do from one; unmemoized evaluation keeps its scratch on the stack.
+// from one goroutine per node. Actions looked up in their tables and
+// actions stepped by their closures (K = 1000 is past the table budget)
+// must answer from several goroutines at once as they do from one.
 func TestProtocolConcurrentUse(t *testing.T) {
-	for _, proto := range []*Protocol{newProto("kstate", 5, 70), newProto("dijkstra4", 5, 0)} {
+	for _, proto := range []*Protocol{newProto("kstate", 5, 70), newProto("kstate", 5, 1000), newProto("dijkstra4", 5, 0)} {
 		cfg := make(Config, proto.Procs())
 		for i := range cfg {
 			cfg[i] = (7 * i) % proto.Domain(i)
@@ -198,21 +236,16 @@ func TestProtocolConcurrentUse(t *testing.T) {
 // TestStretchMatchesTemplate: a ring of more than layoutFrom processes is
 // laid out from the template compiled at layoutFrom. On random
 // configurations it must move and hold tokens as the template compiled
-// at its own size does, for every family, a memoized and an unmemoized
-// kstate among them.
+// at its own size does, for every family, kstate with tables and kstate
+// past the table budget among them.
 func TestStretchMatchesTemplate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
 		family string
 		k      int
-	}{{"dijkstra3", 0}, {"dijkstra4", 0}, {"newthree", 0}, {"kstate", 3}, {"kstate", 70}} {
-		f := families[tc.family]
+	}{{"dijkstra3", 0}, {"dijkstra4", 0}, {"newthree", 0}, {"kstate", 3}, {"kstate", 70}, {"kstate", 1000}} {
 		for _, p := range []int{6, 7, 8, 9, 13} {
-			top := ""
-			if f.top != nil {
-				top = f.top(p - 1)
-			}
-			want, err := compile("full", f.template(p-1, tc.k), top)
+			want, err := compile("full", families[tc.family](p-1, tc.k), tableBudget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,21 +279,77 @@ func TestStretchMatchesTemplate(t *testing.T) {
 }
 
 // TestKStateHugeModulus: a modulus whose squared register span overflows
-// an int takes the unmemoized path instead of sizing a memo table from
-// the wrapped product.
+// an int leaves every action to its closures instead of sizing a table
+// from the wrapped product, and the ring still converges.
 func TestKStateHugeModulus(t *testing.T) {
 	for _, k := range []int{1 << 32, 3_100_000_000} {
 		proto := newProto("kstate", 3, k)
-		for i := range proto.procs {
-			if proto.procs[i].memo != nil {
-				t.Fatalf("K = %d: process %d memoized", k, i)
-			}
+		if tables, _ := tabulated(proto); tables != 0 {
+			t.Fatalf("K = %d: %d actions with tables", k, tables)
 		}
 		start := Config{k - 1, 5, 0}
 		r := &Runner{Proto: proto, Daemon: NewRoundRobinDaemon(3), MaxSteps: 100}
 		res, err := r.Run(start)
 		if err != nil || !res.Converged {
 			t.Fatalf("K = %d: converged = %v, err = %v", k, res != nil && res.Converged, err)
+		}
+	}
+}
+
+// TestKStateClosuresMatchEval: past the table budget K-state actions run
+// their closures, at K where the checker's full compile is too large to
+// compare with. On random configurations their moves and privileges must
+// be what gcl.Eval makes of the template: at K = 300 one action of three
+// keeps a table, at K = 1000 none does.
+func TestKStateClosuresMatchEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct{ p, k, tables int }{{3, 300, 1}, {5, 1000, 0}} {
+		proto := newProto("kstate", tc.p, tc.k)
+		if tables, _ := tabulated(proto); tables != tc.tables {
+			t.Fatalf("P = %d, K = %d: %d actions with tables, want %d", tc.p, tc.k, tables, tc.tables)
+		}
+		prog, err := gcl.Parse(families["kstate"](tc.p-1, tc.k))
+		if err == nil {
+			err = gcl.Check(prog)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := func(e gcl.Expr, env system.Vals) int {
+			v, err := gcl.Eval(prog, e, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		for n := 0; n < 2000; n++ {
+			cfg := make(Config, tc.p) // register i is variable x_i
+			for i := range cfg {
+				cfg[i] = rng.Intn(tc.k)
+			}
+			if n%2 == 1 { // half the time, some neighbors agree
+				cfg[rng.Intn(tc.p)] = cfg[rng.Intn(tc.p)]
+			}
+			var want []Move
+			privileged := make([]bool, tc.p)
+			for _, a := range prog.Actions { // one per process, in process order
+				i, _ := strconv.Atoi(strings.TrimPrefix(a.Assigns[0].Name, "x"))
+				if eval(a.Guard, system.Vals(cfg)) == 0 {
+					continue
+				}
+				privileged[i] = true
+				if v := eval(a.Assigns[0].Expr, system.Vals(cfg)); v != cfg[i] {
+					want = append(want, Move{Proc: i, Rule: strings.TrimRight(a.Name, "0123456789"), NewVal: v})
+				}
+			}
+			if got := EnabledMoves(proto, cfg); !slices.Equal(got, want) {
+				t.Fatalf("K = %d at %v: moves %v, Eval %v", tc.k, cfg, got, want)
+			}
+			for i, want := range privileged {
+				if got := proto.TokenAt(cfg, i); got != want {
+					t.Fatalf("K = %d at %v: process %d privileged = %v, Eval %v", tc.k, cfg, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -51,7 +51,8 @@ func (r *Runner) Run(initial Config) (*Result, error) {
 }
 
 // RunCtx is Run with cancellation: it polls the context every 64 steps,
-// so a run over a large ring stops promptly at its deadline.
+// so a run over a large ring stops promptly at its deadline. A step makes
+// one pass over the ring, listing its moves and counting its tokens.
 func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 	if r.MaxSteps <= 0 {
 		return nil, fmt.Errorf("sim: MaxSteps must be positive, got %d", r.MaxSteps)
@@ -61,8 +62,8 @@ func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 	}
 	cur := initial.Clone()
 	res := &Result{RuleFires: make(map[string]int), Final: cur}
-	res.MaxTokens = TokenCount(r.Proto, cur)
-	res.Converged = r.Proto.Legitimate(cur)
+	moves, tokens := r.Proto.scan(nil, cur)
+	res.MaxTokens, res.Converged = tokens, tokens == 1
 
 	for step := 0; step < r.MaxSteps; step++ {
 		if step%64 == 0 && ctx.Err() != nil {
@@ -71,7 +72,6 @@ func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 		if res.Converged && !r.RunAfterConvergence {
 			break
 		}
-		moves := EnabledMoves(r.Proto, cur)
 		if len(moves) == 0 {
 			// Deadlock: the derived protocols never deadlock; reaching
 			// here means the protocol or configuration is broken.
@@ -86,16 +86,14 @@ func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 		if r.RecordRules {
 			res.RuleTrace = append(res.RuleTrace, m.Rule)
 		}
-		tokens := TokenCount(r.Proto, cur)
-		if tokens > res.MaxTokens {
-			res.MaxTokens = tokens
-		}
+		moves, tokens = r.Proto.scan(moves[:0], cur)
+		res.MaxTokens = max(res.MaxTokens, tokens)
 		if r.RecordTokens {
 			res.TokenTrace = append(res.TokenTrace, tokens)
 		}
 		if !res.Converged {
 			res.Steps = step + 1
-			res.Converged = r.Proto.Legitimate(cur)
+			res.Converged = tokens == 1
 		}
 	}
 	return res, nil

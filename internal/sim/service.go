@@ -52,8 +52,10 @@ func MeasureService(p *Protocol, d Daemon, start Config, steps int) (*ServiceSta
 	cur := start.Clone()
 	stats := &ServiceStats{Entries: make([]int, p.Procs())}
 	lastViolation := -1
+	var moves []Move
 	for i := 0; i < steps; i++ {
-		moves := EnabledMoves(p, cur)
+		var tokens int
+		moves, tokens = p.scan(moves[:0], cur)
 		if len(moves) == 0 {
 			return nil, fmt.Errorf("sim: deadlock at %v", cur)
 		}
@@ -61,7 +63,7 @@ func MeasureService(p *Protocol, d Daemon, start Config, steps int) (*ServiceSta
 			ob.Observe(cur)
 		}
 		m := d.Choose(moves)
-		if TokenCount(p, cur) > 1 {
+		if tokens > 1 {
 			stats.ViolationSteps++
 			lastViolation = i
 		}
