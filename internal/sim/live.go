@@ -87,6 +87,7 @@ func (lr *LiveRing) Run(initial Config) (*LiveResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(lr.Seed + int64(i)*7919 + 1))
+			var moves []Move // reused across this process's turns
 			left := (i - 1 + procs) % procs
 			right := (i + 1) % procs
 			for {
@@ -95,7 +96,7 @@ func (lr *LiveRing) Run(initial Config) (*LiveResult, error) {
 					mu.Unlock()
 					return
 				}
-				moves := lr.Proto.Moves(i, cur[left], cur[i], cur[right])
+				moves, _ = lr.Proto.cell(moves[:0], i, cur[left], cur[i], cur[right])
 				if len(moves) > 0 {
 					m := moves[rng.Intn(len(moves))]
 					cur[i] = m.NewVal
