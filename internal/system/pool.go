@@ -40,7 +40,8 @@ func Ints(n int) []int {
 // touch s, or any slice sharing its array, afterwards.
 func PutInts(s []int) {
 	if c := cap(s); c >= minPooled {
-		s = s[:0]
-		intPools[bits.Len(uint(c))].Put(&s)
+		p := new([]int) // boxed only here, so a short slice costs nothing
+		*p = s[:0]
+		intPools[bits.Len(uint(c))].Put(p)
 	}
 }
