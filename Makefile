@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet gcvet build test bench bench-sim bench-core bench-check fuzz-smoke lint cluster-race cluster-demo chaos crash-demo \
+.PHONY: check fmt vet gcvet build test bench bench-sim bench-core bench-check fuzz-smoke lint examples cluster-race cluster-demo chaos crash-demo \
 	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
 
 # check is the full gate: formatting, vet, build, the race-enabled
@@ -56,6 +56,16 @@ lint:
 			$(GO) run ./cmd/gclc lint "$$f" || exit 1; \
 			echo "lint: $$f ok";; \
 		esac; \
+	done
+
+# examples runs every example program under examples/ and fails if any
+# exits non-zero. They drive the public facade end to end, and nothing
+# else runs them.
+examples:
+	@for f in examples/*/main.go; do \
+		d=$$(dirname "$$f"); \
+		echo "examples: $$d"; \
+		$(GO) run "./$$d" >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
 
 bench:

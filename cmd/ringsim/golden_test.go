@@ -12,9 +12,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenRuns are the seeded simulator runs whose output TestRunGolden
 // pins: every family under every daemon on a ring laid out past its
-// template, one -trace and one -service run per family, and kstate at
+// template, one -trace and one -service run per family, kstate at
 // K = 100, whose neighborhoods span more points than a 3- or 4-state
-// process does.
+// process does, and a greedy -trace run, whose daemon must see each
+// configuration it chooses in.
 func goldenRuns() [][]string {
 	var runs [][]string
 	for _, fam := range []string{"dijkstra3", "dijkstra4", "newthree", "kstate"} {
@@ -33,7 +34,8 @@ func goldenRuns() [][]string {
 	}
 	return append(runs,
 		[]string{"-protocol", "kstate", "-k", "100", "-p", "8", "-trace", "-faults", "5", "-seed", "2"},
-		[]string{"-protocol", "kstate", "-k", "100", "-p", "8", "-service", "-faults", "5", "-steps", "300", "-seed", "4"})
+		[]string{"-protocol", "kstate", "-k", "100", "-p", "8", "-service", "-faults", "5", "-steps", "300", "-seed", "4"},
+		[]string{"-protocol", "dijkstra3", "-p", "7", "-trace", "-daemon", "greedy", "-faults", "6", "-seed", "1"})
 }
 
 // TestRunGolden pins the output of seeded ringsim runs byte for byte:

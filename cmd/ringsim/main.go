@@ -139,22 +139,18 @@ func run(args []string, out io.Writer) error {
 	if *traceRun {
 		start := sim.Corrupt(proto, legit, *faults, rng)
 		fmt.Fprintf(out, "%s under %s daemon from %v\n", proto.Name(), *daemonName, start)
-		cur := start.Clone()
-		d := mkDaemon(0)
-		for step := 0; step < *steps; step++ {
-			fmt.Fprintf(out, "%4d  %v  tokens=%d\n", step, cur, sim.TokenCount(proto, cur))
-			if proto.Legitimate(cur) {
-				fmt.Fprintf(out, "legitimate after %d steps\n", step)
-				return nil
-			}
-			moves := sim.EnabledMoves(proto, cur)
-			if len(moves) == 0 {
-				return fmt.Errorf("deadlock at %v", cur)
-			}
-			m := d.Choose(moves)
-			cur[m.Proc] = m.NewVal
+		const line = "%4d  %v  tokens=%d\n"
+		r := &sim.Runner{Proto: proto, Daemon: mkDaemon(0), MaxSteps: *steps,
+			OnStep: func(step int, c sim.Config, tokens int, _ sim.Move) { fmt.Fprintf(out, line, step, c, tokens) }}
+		res, err := r.Run(start)
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("no convergence within %d steps", *steps)
+		if !res.Converged {
+			return fmt.Errorf("no convergence within %d steps", *steps)
+		}
+		fmt.Fprintf(out, line+"legitimate after %d steps\n", res.Steps, res.Final, 1, res.Steps)
+		return nil
 	}
 
 	stats, err := sim.MeasureConvergence(proto, mkDaemon, *runs, *faults, *steps, *seed)

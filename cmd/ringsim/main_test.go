@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,23 @@ func TestRunTrace(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "legitimate after") {
 		t.Fatalf("output:\n%s", b.String())
+	}
+}
+
+// TestRunTraceStepBudget pins -steps as a budget of moves: this run
+// turns legitimate on its 22nd move, so 22 steps suffice and 21 do not.
+func TestRunTraceStepBudget(t *testing.T) {
+	args := []string{"-protocol", "dijkstra3", "-p", "7", "-trace", "-daemon", "greedy", "-faults", "6", "-seed", "1"}
+	var b strings.Builder
+	if err := run(append(args, "-steps", "22"), &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(b.String(), "legitimate after 22 steps\n") {
+		t.Fatalf("output:\n%s", b.String())
+	}
+	err := run(append(args, "-steps", "21"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "no convergence within 21 steps") {
+		t.Fatalf("-steps 21: err = %v, want no convergence", err)
 	}
 }
 

@@ -50,22 +50,19 @@ func run() error {
 	start := sim.Corrupt(proto, legit, 4, rng)
 	fmt.Printf("\ncorrupted start: %v (%d tokens)\n", start, sim.TokenCount(proto, start))
 
-	cur := start.Clone()
-	daemon := repro.NewRandomDaemon(7)
-	for step := 0; ; step++ {
-		if proto.Legitimate(cur) {
-			fmt.Printf("legitimate after %d steps: %v\n", step, cur)
-			break
-		}
-		moves := sim.EnabledMoves(proto, cur)
-		m := daemon.Choose(moves)
-		cur[m.Proc] = m.NewVal
-		fmt.Printf("step %2d: process %d fires %-6s → %v (tokens %d)\n",
-			step+1, m.Proc, m.Rule, cur, sim.TokenCount(proto, cur))
-		if step > 1000 {
-			return fmt.Errorf("no convergence")
-		}
+	runner := &repro.Runner{Proto: proto, Daemon: repro.NewRandomDaemon(7), MaxSteps: 1000,
+		OnStep: func(step int, c sim.Config, tokens int, m sim.Move) {
+			fmt.Printf("step %2d: %v (tokens %d), process %d fires %s\n",
+				step+1, c, tokens, m.Proc, m.Rule)
+		}}
+	conv, err := runner.Run(start)
+	if err != nil {
+		return err
 	}
+	if !conv.Converged {
+		return fmt.Errorf("no convergence")
+	}
+	fmt.Printf("legitimate after %d steps: %v\n", conv.Steps, conv.Final)
 
 	// 3. The same protocol on real goroutines, scheduled by the Go
 	//    runtime.

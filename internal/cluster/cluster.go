@@ -115,15 +115,7 @@ type Result struct {
 	// Storage reports the snapshot store's counters when persistence was
 	// on: saves, validated restores, and what validation caught.
 	Storage *store.Stats `json:"storage,omitempty"`
-
-	viewTrace []int
 }
-
-// ViewTrace returns the Monitor's recorded view sequence as encoded
-// states (mixed-radix over the register domains; nil when the state
-// space is too large). The sequence relations of internal/trace —
-// Destutter, IsSubsequence, ConvergenceIsomorphic — apply directly.
-func (r *Result) ViewTrace() []int { return r.viewTrace }
 
 // nodeSeed derives a per-node RNG seed so move choices are independent
 // of the scheduler's stream.
@@ -369,6 +361,5 @@ func assemble(opts Options, inj *injector, mon *Monitor, steps, moves int, moves
 		Links:          inj.linkStats(),
 		Events:         mon.Events(),
 		Storage:        storage,
-		viewTrace:      mon.ViewTrace(),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // newProto builds a protocol family the tests know to be valid.
@@ -209,32 +208,6 @@ func TestSteppedIsolateRecovers(t *testing.T) {
 	}
 	if !sawHeal {
 		t.Fatal("isolate heal event missing from stream")
-	}
-}
-
-// TestViewTraceRelations ties the Monitor to internal/trace: the
-// recorded view sequence destutters to a subsequence of itself ending
-// in the final configuration's encoding.
-func TestViewTraceRelations(t *testing.T) {
-	opts, start := faultEpisode()
-	res, err := Run(context.Background(), opts, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt := res.ViewTrace()
-	if len(vt) == 0 {
-		t.Fatal("view trace empty; dijkstra3(5) is small enough to encode")
-	}
-	ds := trace.Destutter(vt)
-	if !trace.IsSubsequence(ds, vt) {
-		t.Fatal("destuttered view trace is not a subsequence of the raw trace")
-	}
-	enc := 0
-	for _, v := range res.Final {
-		enc = enc*3 + v
-	}
-	if ds[len(ds)-1] != enc {
-		t.Fatalf("trace ends at %d, final config encodes to %d", ds[len(ds)-1], enc)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Event is one structured convergence event from the online Monitor.
@@ -52,9 +51,7 @@ type Stabilization struct {
 // Monitor watches a cluster run online. It maintains a global snapshot
 // view of the true register values (fed by the engines from move
 // reports and applied state faults — not from the lossy messages), and
-// emits structured convergence events. It also records the view
-// sequence in a trace.Recorder so runs can be classified with the
-// sequence relations of internal/trace.
+// emits structured convergence events.
 //
 // Monitor is not goroutine-safe; the stepped engine calls it from the
 // scheduler loop and the free-running engine from its single collector
@@ -69,28 +66,13 @@ type Monitor struct {
 	events      []Event
 	stabs       []Stabilization
 	recordMoves bool
-
-	rec    trace.Recorder
-	radix  []int
-	encode bool // state space small enough to encode into ints
 }
 
 // newMonitor starts monitoring from the initial configuration,
 // emitting the "start" event.
 func newMonitor(p *sim.Protocol, initial sim.Config, recordMoves bool) *Monitor {
 	m := &Monitor{proto: p, view: initial.Clone(), crashed: make(map[int]bool), recordMoves: recordMoves}
-	m.radix = make([]int, p.Procs())
-	size := 1
-	m.encode = true
-	for i := range m.radix {
-		m.radix[i] = p.Domain(i)
-		if size > (1<<31)/m.radix[i] {
-			m.encode = false
-		} else {
-			size *= m.radix[i]
-		}
-	}
-	m.observeState()
+	m.countTokens()
 	m.legit = m.tokens == 1
 	m.emit(Event{Step: 0, Kind: KindStart, Node: -1, Config: m.view.Clone()})
 	return m
@@ -102,18 +84,9 @@ func (m *Monitor) emit(ev Event) {
 	m.events = append(m.events, ev)
 }
 
-// observeState counts the current view's tokens and records the view in
-// the trace recorder.
-func (m *Monitor) observeState() {
+// countTokens counts the current view's tokens.
+func (m *Monitor) countTokens() {
 	m.tokens = sim.TokenCount(m.proto, m.view)
-	if !m.encode {
-		return
-	}
-	s := 0
-	for i, v := range m.view {
-		s = s*m.radix[i] + v
-	}
-	m.rec.Observe(s)
 }
 
 // checkTransition emits destabilized/stabilized events when the view
@@ -139,7 +112,7 @@ func (m *Monitor) checkTransition(step int) {
 // ObserveMove folds one executed move into the view.
 func (m *Monitor) ObserveMove(step, node int, rule string, val int) {
 	m.view[node] = val
-	m.observeState()
+	m.countTokens()
 	if m.recordMoves {
 		m.emit(Event{Step: step, Kind: KindMove, Node: node, Rule: rule})
 	}
@@ -155,7 +128,7 @@ func (m *Monitor) ObserveFault(step int, f Fault) {
 	}
 	if (f.Kind == FaultCorrupt || f.Kind == FaultRestart) && !m.crashed[f.Node] { // state faults on a dead process hit nothing
 		m.view[f.Node] = f.Val
-		m.observeState()
+		m.countTokens()
 	}
 	m.emit(Event{Step: step, Kind: KindFault, Node: f.Node, Fault: f.String()})
 	m.checkTransition(step)
@@ -192,7 +165,7 @@ func (m *Monitor) ObserveCrash(step int, f Fault) {
 func (m *Monitor) ObserveRecovered(step, node, val int, from string) {
 	delete(m.crashed, node)
 	m.view[node] = val
-	m.observeState()
+	m.countTokens()
 	m.emit(Event{Step: step, Kind: KindRecovered, Node: node, From: from})
 	m.checkTransition(step)
 }
@@ -226,14 +199,3 @@ func (m *Monitor) Stabilizations() []Stabilization { return m.stabs }
 
 // View returns a copy of the monitor's global snapshot view.
 func (m *Monitor) View() sim.Config { return m.view.Clone() }
-
-// ViewTrace returns the recorded view sequence as encoded states
-// (mixed-radix over the register domains), or nil when the state space
-// is too large to encode. trace.Destutter and the other relations of
-// internal/trace apply directly.
-func (m *Monitor) ViewTrace() []int {
-	if !m.encode {
-		return nil
-	}
-	return m.rec.Seq()
-}

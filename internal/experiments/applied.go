@@ -208,10 +208,9 @@ func E12WrapperInterference() *Report {
 		rng := newSeededRand(seed)
 		start := sim.RandomConfig(proto, rng)
 		runner := &sim.Runner{
-			Proto:       proto,
-			Daemon:      sim.NewRandomDaemon(seed),
-			MaxSteps:    maxSteps,
-			RecordRules: true,
+			Proto:    proto,
+			Daemon:   sim.NewRandomDaemon(seed),
+			MaxSteps: maxSteps,
 		}
 		res, err := runner.Run(start)
 		if err != nil {

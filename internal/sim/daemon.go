@@ -6,15 +6,19 @@ import (
 	"math/rand"
 )
 
-// Daemon is a scheduler: given the enabled moves of a configuration it
+// Daemon is a scheduler: given a configuration and its enabled moves it
 // chooses which single move executes next (central-daemon semantics).
-// Implementations must be deterministic given their own state and the
-// move list; randomness comes from an explicitly seeded source.
+// The moves are listed in process order, and a process's moves in its
+// rules' declaration order. Implementations must be deterministic given
+// their own state, the configuration and the move list; randomness
+// comes from an explicitly seeded source. A daemon may change c while
+// it chooses but must restore it, and must not keep c after Choose
+// returns.
 type Daemon interface {
 	// Name identifies the daemon in reports.
 	Name() string
-	// Choose picks one of the enabled moves (len(moves) ≥ 1).
-	Choose(moves []Move) Move
+	// Choose picks one of the enabled moves of c (len(moves) ≥ 1).
+	Choose(c Config, moves []Move) Move
 }
 
 // RandomDaemon picks uniformly at random with a seeded source.
@@ -31,7 +35,7 @@ func NewRandomDaemon(seed int64) *RandomDaemon {
 func (d *RandomDaemon) Name() string { return "random" }
 
 // Choose implements Daemon.
-func (d *RandomDaemon) Choose(moves []Move) Move {
+func (d *RandomDaemon) Choose(_ Config, moves []Move) Move {
 	return moves[d.rng.Intn(len(moves))]
 }
 
@@ -54,29 +58,27 @@ func NewRoundRobinDaemon(p int) *RoundRobinDaemon {
 // Name implements Daemon.
 func (d *RoundRobinDaemon) Name() string { return "round-robin" }
 
-// Choose implements Daemon.
-func (d *RoundRobinDaemon) Choose(moves []Move) Move {
-	for off := 0; off < d.procs; off++ {
-		want := (d.cursor + off) % d.procs
-		for _, m := range moves {
-			if m.Proc == want {
-				d.cursor = (want + 1) % d.procs
-				return m
-			}
+// Choose implements Daemon. Moves come in process order, so the first
+// move at or after the cursor is the lowest such process's first move.
+func (d *RoundRobinDaemon) Choose(_ Config, moves []Move) Move {
+	m := moves[0]
+	for _, mv := range moves {
+		if mv.Proc >= d.cursor {
+			m = mv
+			break
 		}
 	}
-	// Unreachable for len(moves) ≥ 1; keep the daemon total anyway.
-	return moves[0]
+	d.cursor = (m.Proc + 1) % d.procs
+	return m
 }
 
 // GreedyDaemon is an adversarial heuristic: it picks the move whose
 // successor configuration has the most tokens (slowest convergence),
 // breaking ties by lowest process index. It scores a move by the token
 // change at its process and the two beside it, all the move can change,
-// making the move on the observed configuration and undoing it.
+// making the move on the configuration and undoing it.
 type GreedyDaemon struct {
 	proto *Protocol
-	cur   Config
 }
 
 // NewGreedyDaemon builds the adversary for a protocol.
@@ -87,18 +89,11 @@ func NewGreedyDaemon(p *Protocol) *GreedyDaemon {
 // Name implements Daemon.
 func (d *GreedyDaemon) Name() string { return "greedy-adversary" }
 
-// Observe gives the daemon the current configuration; the Runner calls it
-// before each Choose.
-func (d *GreedyDaemon) Observe(c Config) { d.cur = c }
-
 // Choose implements Daemon.
-func (d *GreedyDaemon) Choose(moves []Move) Move {
-	if d.cur == nil {
-		return moves[0]
-	}
+func (d *GreedyDaemon) Choose(c Config, moves []Move) Move {
 	around := func(i int) (n int) { // the privileged among i−1, i and i+1
 		for j := i - 1; j <= i+1; j++ {
-			if d.proto.TokenAt(d.cur, (j+len(d.cur))%len(d.cur)) {
+			if d.proto.TokenAt(c, (j+len(c))%len(c)) {
 				n++
 			}
 		}
@@ -107,20 +102,14 @@ func (d *GreedyDaemon) Choose(moves []Move) Move {
 	best, bestGain := moves[0], math.MinInt
 	for _, m := range moves {
 		// Score the move in place, and put the register back.
-		old := d.cur[m.Proc]
+		old := c[m.Proc]
 		gain := -around(m.Proc)
-		d.cur[m.Proc] = m.NewVal
+		c[m.Proc] = m.NewVal
 		gain += around(m.Proc)
-		d.cur[m.Proc] = old
+		c[m.Proc] = old
 		if gain > bestGain {
 			best, bestGain = m, gain
 		}
 	}
 	return best
-}
-
-// observer is implemented by daemons that want to see the configuration
-// before choosing.
-type observer interface {
-	Observe(c Config)
 }

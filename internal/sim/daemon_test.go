@@ -5,25 +5,18 @@ import (
 	"testing"
 )
 
-// traceUnder replays a protocol from start under d, recording each chosen
-// move. The daemon interface promises determinism given the daemon's own
-// state and the move list; identical replays with fresh daemons must
-// therefore produce identical traces.
+// traceUnder runs a protocol from start under d for the given number of
+// steps, recording each chosen move. The daemon interface promises
+// determinism given the daemon's own state, the configuration and the
+// move list; identical replays with fresh daemons must therefore produce
+// identical traces.
 func traceUnder(t *testing.T, p *Protocol, d Daemon, start Config, steps int) []Move {
 	t.Helper()
-	c := start.Clone()
 	var trace []Move
-	for len(trace) < steps {
-		moves := EnabledMoves(p, c)
-		if len(moves) == 0 {
-			t.Fatalf("%s: deadlock at %v", p.Name(), c)
-		}
-		if ob, ok := d.(observer); ok {
-			ob.Observe(c)
-		}
-		m := d.Choose(moves)
-		c[m.Proc] = m.NewVal
-		trace = append(trace, m)
+	r := &Runner{Proto: p, Daemon: d, MaxSteps: steps, RunAfterConvergence: true,
+		OnStep: func(_ int, _ Config, _ int, m Move) { trace = append(trace, m) }}
+	if _, err := r.Run(start); err != nil {
+		t.Fatal(err)
 	}
 	return trace
 }
@@ -61,17 +54,17 @@ func TestEachDaemonDeterministic(t *testing.T) {
 func TestRoundRobinCursorAdvances(t *testing.T) {
 	d := NewRoundRobinDaemon(4)
 	moves := []Move{{Proc: 2, NewVal: 0}, {Proc: 3, NewVal: 0}}
-	if got := d.Choose(moves); got.Proc != 2 {
+	if got := d.Choose(nil, moves); got.Proc != 2 {
 		t.Fatalf("cursor 0 over {2,3}: chose %d, want 2", got.Proc)
 	}
 	if d.cursor != 3 {
 		t.Fatalf("cursor = %d after granting 2, want 3", d.cursor)
 	}
-	if got := d.Choose(moves); got.Proc != 3 {
+	if got := d.Choose(nil, moves); got.Proc != 3 {
 		t.Fatalf("cursor 3 over {2,3}: chose %d, want 3", got.Proc)
 	}
 	// Cursor wraps: 0 is not enabled, so the scan comes back around to 2.
-	if got := d.Choose(moves); got.Proc != 2 {
+	if got := d.Choose(nil, moves); got.Proc != 2 {
 		t.Fatalf("wrapped cursor over {2,3}: chose %d, want 2", got.Proc)
 	}
 }

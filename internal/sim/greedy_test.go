@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // expectedGreedy recomputes the adversarial pick independently of the
 // daemon: the move whose successor has the most tokens, ties broken by
@@ -48,15 +51,17 @@ func TestGreedyAdversarialPick(t *testing.T) {
 
 	d := NewGreedyDaemon(p)
 	for i := 0; i < 10; i++ {
-		d.Observe(c)
-		if got := d.Choose(moves); got != want {
+		if got := d.Choose(c, moves); got != want {
 			t.Fatalf("iteration %d: chose %+v, want %+v", i, got, want)
 		}
 	}
-	// A fresh daemon over the same observation agrees.
+	// Scoring makes and undoes each move in place: c comes back as it was.
+	if !slices.Equal(c, Config{0, 1, 0, 1, 1}) {
+		t.Fatalf("Choose left the configuration changed: %v", c)
+	}
+	// A fresh daemon over the same configuration agrees.
 	d2 := NewGreedyDaemon(p)
-	d2.Observe(c)
-	if got := d2.Choose(moves); got != want {
+	if got := d2.Choose(c, moves); got != want {
 		t.Fatalf("fresh daemon chose %+v, want %+v", got, want)
 	}
 }
@@ -90,20 +95,7 @@ func TestGreedyFallbackNoWorseningMove(t *testing.T) {
 		}
 	}
 	d := NewGreedyDaemon(p)
-	d.Observe(c)
-	if got := d.Choose(moves); got != want {
+	if got := d.Choose(c, moves); got != want {
 		t.Fatalf("chose %+v, want fallback %+v", got, want)
-	}
-}
-
-// TestGreedyWithoutObservation: before any Observe the daemon has no
-// configuration to evaluate successors against and must degrade to the
-// first enabled move instead of crashing.
-func TestGreedyWithoutObservation(t *testing.T) {
-	p := newProto("dijkstra3", 5, 0)
-	moves := EnabledMoves(p, Config{0, 1, 0, 1, 1})
-	d := NewGreedyDaemon(p)
-	if got := d.Choose(moves); got != moves[0] {
-		t.Fatalf("unobserved daemon chose %+v, want moves[0] %+v", got, moves[0])
 	}
 }

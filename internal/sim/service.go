@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // ServiceStats measures the ring as a mutual-exclusion service — the
 // application Dijkstra's systems exist for. A process "enters its
@@ -43,33 +40,18 @@ func (s *ServiceStats) MaxEntries() int {
 // MeasureService runs the protocol for exactly `steps` moves from start
 // under the daemon and reports safety violations and per-process service.
 func MeasureService(p *Protocol, d Daemon, start Config, steps int) (*ServiceStats, error) {
-	if steps <= 0 {
-		return nil, fmt.Errorf("sim: steps must be positive, got %d", steps)
-	}
-	if err := Validate(p, start); err != nil {
-		return nil, err
-	}
-	cur := start.Clone()
-	stats := &ServiceStats{Entries: make([]int, p.Procs())}
+	stats := &ServiceStats{Steps: steps, Entries: make([]int, p.Procs())}
 	lastViolation := -1
-	var moves []Move
-	for i := 0; i < steps; i++ {
-		var tokens int
-		moves, tokens = p.scan(moves[:0], cur)
-		if len(moves) == 0 {
-			return nil, fmt.Errorf("sim: deadlock at %v", cur)
-		}
-		if ob, isObserver := d.(observer); isObserver {
-			ob.Observe(cur)
-		}
-		m := d.Choose(moves)
-		if tokens > 1 {
-			stats.ViolationSteps++
-			lastViolation = i
-		}
-		cur[m.Proc] = m.NewVal
-		stats.Entries[m.Proc]++
-		stats.Steps++
+	r := &Runner{Proto: p, Daemon: d, MaxSteps: steps, RunAfterConvergence: true,
+		OnStep: func(step int, _ Config, tokens int, m Move) {
+			if tokens > 1 {
+				stats.ViolationSteps++
+				lastViolation = step
+			}
+			stats.Entries[m.Proc]++
+		}}
+	if _, err := r.Run(start); err != nil {
+		return nil, err
 	}
 	stats.StepsToSafety = lastViolation + 1
 	return stats, nil

@@ -221,8 +221,14 @@ func TestRunnerTokenCirculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps := 0
 	r := &Runner{Proto: p, Daemon: NewRoundRobinDaemon(p.Procs()), MaxSteps: 200,
-		RunAfterConvergence: true, RecordTokens: true}
+		RunAfterConvergence: true, OnStep: func(step int, _ Config, tokens int, _ Move) {
+			if tokens != 1 {
+				t.Errorf("token count %d at step %d of legitimate run", tokens, step)
+			}
+			steps++
+		}}
 	res, err := r.Run(legit)
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +238,8 @@ func TestRunnerTokenCirculation(t *testing.T) {
 			t.Fatalf("rule %s never fired: %v", rule, res.RuleFires)
 		}
 	}
-	for i, tok := range res.TokenTrace {
-		if tok != 1 {
-			t.Fatalf("token count %d at step %d of legitimate run", tok, i)
-		}
+	if steps != 200 || res.MaxTokens != 1 {
+		t.Fatalf("legitimate run: %d steps, max tokens %d; want 200 steps, 1 token", steps, res.MaxTokens)
 	}
 }
 

@@ -191,9 +191,11 @@ type (
 	Protocol = sim.Protocol
 	// SimConfig is a ring configuration.
 	SimConfig = sim.Config
-	// Daemon schedules moves.
+	// Daemon chooses the next move from a configuration and its enabled
+	// moves.
 	Daemon = sim.Daemon
-	// Runner executes a protocol under a daemon.
+	// Runner steps a protocol under a daemon; its OnStep hook sees each
+	// move before it is applied.
 	Runner = sim.Runner
 	// LiveRing runs a protocol with one goroutine per process.
 	LiveRing = sim.LiveRing
