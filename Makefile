@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet gcvet build test bench bench-sim bench-core bench-check fuzz-smoke lint examples cluster-race cluster-demo chaos crash-demo \
+.PHONY: check fmt vet gcvet build test bench bench-sim bench-core bench-ab bench-check fuzz-smoke lint examples cluster-race cluster-demo chaos crash-demo \
 	fleet-race fleet-demo fleet-gray-race bench-fleet journal-race journal-compact-race bench-journal
 
 # check is the full gate: formatting, vet, build, the race-enabled
@@ -83,6 +83,17 @@ bench-sim:
 # bench-sim it is not a CI step.
 bench-core:
 	$(GO) test -run '^$$' -bench 'GCLCompile|LintExact|SelfStabilizing|Stabilizing|RefineBattery' -benchmem -cpu 1 -count 5 .
+
+# bench-ab compares the root package's benchmarks at git revision BASE
+# with the working tree: one prebuilt test binary a side, run N times a
+# side alternately at one CPU, per-side medians printed. The default
+# regex is bench-core's. Example:
+#   make bench-ab BASE=HEAD~1 BENCH='LintExact' N=10
+BASE ?= HEAD
+BENCH ?= GCLCompile|LintExact|SelfStabilizing|Stabilizing|RefineBattery
+N ?= 5
+bench-ab:
+	bash scripts/bench-ab.sh '$(BASE)' '$(BENCH)' '$(N)'
 
 # bench-check vets and tests the checkd benchmark module. It lives in its
 # own module (checkbench/go.mod, replacing repro with this checkout), so

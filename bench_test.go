@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/gcl"
 	"repro/internal/gcl/analysis"
 	"repro/internal/mc"
@@ -437,12 +438,14 @@ func BenchmarkGCLCompile(b *testing.B) {
 }
 
 // BenchmarkLintExact measures analysis.Analyze with the enumeration tier
-// on the same ring families.
+// on the same ring families, and on the fleet load generator's tiny
+// one-variable programs (loadgen), which lie below the pool's floor.
 func BenchmarkLintExact(b *testing.B) {
 	for _, fam := range []struct{ name, src string }{
 		{"D3-N6", ring.Dijkstra3GCL(6)},
 		{"A3-N6", ring.AggressiveThreeGCL(6)},
 		{"K3-N6", ring.KStateGCL(6, 3)},
+		{"loadgen", fleet.LoadgenProgram(0)},
 	} {
 		prog, err := gcl.Parse(fam.src)
 		if err != nil {

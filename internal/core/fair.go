@@ -131,6 +131,7 @@ func FairStabilizingGas(g *mc.Gas, c *system.LabeledSystem, a *system.System, ab
 	if err != nil {
 		return nil, err
 	}
+	defer sw.release()
 	rep.Legitimate = sw.legitimate(cd)
 	rep.Verdict = ok(relation,
 		fmt.Sprintf("every weakly-fair computation has a suffix tracking %s; %d of %d states are legitimate",

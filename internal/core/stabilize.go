@@ -146,6 +146,7 @@ func suffixTracking(g *mc.Gas, relation string, c, a *system.System, ab *system.
 	if err != nil {
 		return nil, err
 	}
+	defer sw.release()
 	if s := sw.at; s >= 0 {
 		cyc, err := cycleThrough(g, c, cd, s)
 		if err != nil {
@@ -196,8 +197,14 @@ type badSweep struct {
 	// first such step, or −1 when at is itself bad.
 	at, step int
 	// reachBad[i] reports whether a bad event is reachable from
-	// component i.
+	// component i. It is drawn from system.Bools; release gives it back.
 	reachBad []bool
+}
+
+// release gives reachBad back to the pool it was drawn from.
+func (sw *badSweep) release() {
+	system.PutBools(sw.reachBad)
+	sw.reachBad = nil
 }
 
 // sweepBadEvents visits the components of cd in emission order, sinks
@@ -207,12 +214,13 @@ type badSweep struct {
 // badEdge means no step is bad. Each edge is checked against badEdge at
 // most once, and only while the answer can still change the outcome.
 func sweepBadEvents(g *mc.Gas, c *system.System, cd *mc.Condensation, badState func(int) bool, badEdge func(int, int) bool) (badSweep, error) {
-	sw := badSweep{at: -1, step: -1, reachBad: make([]bool, cd.Len())}
+	sw := badSweep{at: -1, step: -1, reachBad: system.Bools(cd.Len())}
 	for i := range sw.reachBad {
 		reach := false
 		for _, s := range cd.Component(i) {
 			succ := c.Succ(s)
 			if err := g.Tick(1 + len(succ)); err != nil {
+				sw.release()
 				return sw, err
 			}
 			// s can displace the violation found so far only if smaller.

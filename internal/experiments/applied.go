@@ -207,17 +207,25 @@ func E12WrapperInterference() *Report {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := newSeededRand(seed)
 		start := sim.RandomConfig(proto, rng)
+		var w1, w2 int
 		runner := &sim.Runner{
 			Proto:    proto,
 			Daemon:   sim.NewRandomDaemon(seed),
 			MaxSteps: maxSteps,
+			OnStep: func(_ int, _ sim.Config, _ int, m sim.Move) {
+				switch m.Rule {
+				case "W1pp":
+					w1++
+				case "W2p":
+					w2++
+				}
+			},
 		}
 		res, err := runner.Run(start)
 		if err != nil {
 			r.Rows = append(r.Rows, Row{Name: fmt.Sprintf("seed=%d", seed), Detail: err.Error()})
 			continue
 		}
-		w1, w2 := res.RuleFires["W1pp"], res.RuleFires["W2p"]
 		totalW1 += w1
 		totalW2 += w2
 		r.Rows = append(r.Rows, expectRow(

@@ -56,18 +56,24 @@ func Analyze(prog *gcl.Program, opts Options) (*Result, error) {
 	pass := &Pass{Prog: prog, Top: declaredEnv(prog)}
 	analyzers := opts.Analyzers
 	if analyzers == nil {
-		analyzers = Analyzers()
+		analyzers = registry
+	}
+	res := &Result{States: cardProduct(prog, limit)}
+	// The exact tier runs first: when it completes, the analyzers whose
+	// every finding it would replace need not run.
+	var facts *exactFacts
+	if opts.Exact && res.States <= limit {
+		facts, _ = runExact(prog, opts.Gas)
 	}
 	var diags []Diag
 	for _, a := range analyzers {
-		diags = append(diags, a.Run(pass)...)
-	}
-	res := &Result{States: cardProduct(prog, limit)}
-	if opts.Exact && res.States <= limit {
-		if facts, err := runExact(prog, opts.Gas); err == nil {
-			diags = mergeExact(diags, exactDiags(prog, facts))
-			res.Exact = true
+		if facts == nil || !replacedByExact(a) {
+			diags = append(diags, a.Run(pass)...)
 		}
+	}
+	if facts != nil {
+		diags = mergeExact(diags, exactDiags(prog, facts, len(diags)))
+		res.Exact = true
 	}
 	res.Diags = Sort(diags)
 	return res, nil

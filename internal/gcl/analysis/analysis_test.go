@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -441,6 +444,37 @@ func TestSortDedup(t *testing.T) {
 	}
 	if out[1].Confidence != ConfExact {
 		t.Fatalf("dedup must keep the stronger confidence: %v", out[1])
+	}
+}
+
+// TestSortIsStable checks Sort's permutation sort against a stable sort
+// of the diagnostics themselves on lists full of ties: equal keys must
+// keep their input order, which decides what dedup keeps.
+func TestSortIsStable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 500; trial++ {
+		in := make([]Diag, rng.IntN(40))
+		for i := range in {
+			in[i] = Diag{
+				Pos:      gcl.Pos{Line: 1 + rng.IntN(3), Col: 1 + rng.IntN(2)},
+				Code:     []Code{CodeDeadGuard, CodeOverlappingGuards}[rng.IntN(2)],
+				Msg:      []string{"a", "b"}[rng.IntN(2)],
+				Severity: Severity(i % 3), // tells tied entries apart
+			}
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b Diag) int {
+			return cmp.Or(cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+				cmp.Compare(a.Code, b.Code), cmp.Compare(a.Msg, b.Msg))
+		})
+		want = slices.CompactFunc(want, func(a, b Diag) bool {
+			return a.Pos == b.Pos && a.Code == b.Code && a.Msg == b.Msg
+		})
+		if got := Sort(slices.Clone(in)); !slices.EqualFunc(got, want, func(a, b Diag) bool {
+			return a.Pos == b.Pos && a.Code == b.Code && a.Msg == b.Msg && a.Severity == b.Severity
+		}) {
+			t.Fatalf("trial %d: Sort\n got  %v\n want %v", trial, got, want)
+		}
 	}
 }
 

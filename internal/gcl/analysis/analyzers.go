@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/gcl"
@@ -93,14 +94,21 @@ func Analyzers() []*Analyzer {
 // revision plus every registered analyzer name. Adding, removing, or
 // renaming an analyzer changes the version, so cached lint verdicts
 // from an older engine are never served for a newer one.
-func Version() string {
-	names := make([]string, 0, 8)
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return "v1/" + strings.Join(names, ",")
-}
+func Version() string { return version }
+
+// registry is the analyzer set Analyze runs by default, and version its
+// Version: both are made once, not per lint request.
+var (
+	registry = Analyzers()
+	version  = func() string {
+		names := make([]string, 0, len(registry))
+		for _, a := range registry {
+			names = append(names, a.Name)
+		}
+		sort.Strings(names)
+		return "v1/" + strings.Join(names, ",")
+	}()
+)
 
 // guardState classifies one action's guard under the interval tier.
 type guardState struct {
@@ -186,11 +194,16 @@ func runDomains(p *Pass) []Diag {
 	return diags
 }
 
-func domainString(v gcl.VarDecl) string {
+func domainString(v gcl.VarDecl) string { return string(appendDomain(nil, v)) }
+
+// appendDomain appends v's domain, "bool" or "lo..hi", to dst.
+func appendDomain(dst []byte, v gcl.VarDecl) []byte {
 	if v.IsBool {
-		return "bool"
+		return append(dst, "bool"...)
 	}
-	return fmt.Sprintf("%d..%d", v.Lo, v.Hi)
+	dst = strconv.AppendInt(dst, int64(v.Lo), 10)
+	dst = append(dst, ".."...)
+	return strconv.AppendInt(dst, int64(v.Hi), 10)
 }
 
 func identIndex(p *gcl.Program, name string) int {

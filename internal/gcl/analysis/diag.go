@@ -232,7 +232,15 @@ func (d Diag) String() string {
 // drops exact duplicates (same position, code, and message) — two
 // analyzers agreeing on a finding report it once.
 func Sort(diags []Diag) []Diag {
-	slices.SortStableFunc(diags, func(a, b Diag) int {
+	// Sort a permutation rather than the diagnostics, which are large and
+	// hold pointers, breaking ties by index so the order is stable; then
+	// move each diagnostic once, cycle by cycle.
+	perm := make([]int, len(diags))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(i, j int) int {
+		a, b := &diags[i], &diags[j]
 		if a.Line != b.Line {
 			return cmp.Compare(a.Line, b.Line)
 		}
@@ -242,8 +250,25 @@ func Sort(diags []Diag) []Diag {
 		if a.Code != b.Code {
 			return cmp.Compare(a.Code, b.Code)
 		}
-		return cmp.Compare(a.Msg, b.Msg)
+		if a.Msg != b.Msg {
+			return cmp.Compare(a.Msg, b.Msg)
+		}
+		return cmp.Compare(i, j)
 	})
+	for start, src := range perm {
+		if src < 0 || src == start {
+			continue
+		}
+		d, p := diags[start], start
+		for {
+			src, perm[p] = perm[p], -1
+			if src == start {
+				diags[p] = d
+				break
+			}
+			diags[p], p = diags[src], src
+		}
+	}
 	out := diags[:0]
 	for i, d := range diags {
 		if i > 0 {

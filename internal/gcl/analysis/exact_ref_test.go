@@ -113,23 +113,23 @@ func referenceExact(prog *gcl.Program) *exactFacts {
 	if prog.Init == nil {
 		return f
 	}
-	f.reachable = make([]bool, n)
+	reachable := make([]bool, n)
 	queue := initStates
 	for _, s := range initStates {
-		f.reachable[s] = true
+		reachable[s] = true
 	}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
 		for _, t := range succ[s] {
-			if !f.reachable[t] {
-				f.reachable[t] = true
+			if !reachable[t] {
+				reachable[t] = true
 				queue = append(queue, t)
 			}
 		}
 	}
 	for s := 0; s < n; s++ {
-		if !f.reachable[s] {
+		if !reachable[s] {
 			continue
 		}
 		env = sp.Decode(s, env)
@@ -159,7 +159,7 @@ func exactMismatch(prog *gcl.Program) string {
 	if !reflect.DeepEqual(g, w) {
 		return fmt.Sprintf("exact facts differ from the reference:\n got  %+v\n want %+v", g, w)
 	}
-	if gd, wd := exactDiags(prog, got), exactDiags(prog, want); !reflect.DeepEqual(gd, wd) {
+	if gd, wd := exactDiags(prog, got, 0), exactDiags(prog, want, 0); !reflect.DeepEqual(gd, wd) {
 		return fmt.Sprintf("exact diagnostics differ:\n got  %v\n want %v", gd, wd)
 	}
 	return ""
@@ -224,6 +224,10 @@ func TestExactMatchesReferenceCorpus(t *testing.T) {
 		// hop is enabled only off the reachable set.
 		{"partial-reach", "var x : 0..3;\nvar y : 0..2;\ninit x == 0 && y == 0;\naction inc: x < 2 -> x := x + 1;\naction hop: x == 3 -> y := (y + 1) % 3;\naction esc: x == 2 -> y := y + 3;\naction div: y == 0 && x / (x - 1) >= 0 -> x := 0;"},
 		{"overlap", "var x : 0..3;\nvar z : bool;\naction up: x < 3 -> x := x + 1;\naction down: x > 0 -> x := x - 1;\naction same: x > 1 -> x := x - 1;"},
+		// Pairs that share a target: where both fault, both stutter, one
+		// faults, or both move (to the same state or not); and a pair with
+		// disjoint targets where both fault.
+		{"shared-target", "var x : 0..3;\nvar y : 0..2;\ninit x == 1;\naction inc: x < 3 -> x := x + 1;\naction inv: y < 2 -> x := 3 / x;\naction keep: x == 2 -> x := x;\naction half: x > 0 -> x := 3 / x; y := y / x;\naction wrap: true -> y := 2 / x;"},
 	} {
 		assertExactMatchesReference(t, tc.name, tc.src)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gcl"
 	"repro/internal/mc"
+	"repro/internal/ring"
 	"repro/internal/system"
 )
 
@@ -294,5 +295,35 @@ action t: true -> a := a;
 	}
 	if got := cardProduct(prog, 1<<16); got != 1<<16+1 {
 		t.Fatalf("cardProduct = %d", got)
+	}
+}
+
+// TestLintExactAllocs bounds what Analyze allocates with the exact tier
+// on the ring programs cold checks submit. The Σ-sized arrays come from
+// the system pool, the interval analyzers the exact tier replaces do not
+// run, and each message is built in one scratch buffer, so most of what
+// is left is the lowered program, the messages and the diagnostics.
+func TestLintExactAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		max  float64
+	}{
+		{"D3-N6", ring.Dijkstra3GCL(6), 310},
+		{"A3-N6", ring.AggressiveThreeGCL(6), 495},
+		{"K3-N6", ring.KStateGCL(6, 3), 165},
+	} {
+		prog, err := gcl.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if res, err := Analyze(prog, Options{Exact: true}); err != nil || !res.Exact {
+				t.Fatalf("%s: exact tier did not complete: %v", tc.name, err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("Analyze(%s) makes %.0f allocations, want at most %.0f", tc.name, allocs, tc.max)
+		}
 	}
 }

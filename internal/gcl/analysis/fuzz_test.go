@@ -34,6 +34,9 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add("var x : 0..3;\nvar y : 0..2;\nvar z : bool;\ninit x == 0;\naction a: x / (y - 1) > 0 -> x := 0;\naction b: x < 3 -> x := x + 1;")
 	f.Add("var x : -2..2;\nvar b : bool;\nvar y : 3..5;\naction a: b && y > 3 -> y := y - 1; b := x > 0;\naction k: true -> x := 2;")
 	f.Add("var x : 0..2;\nvar y : 0..2;\naction all: x + y < 4 -> y := (x + y) % 3; x := y;\naction one: x < 2 -> x := x + 1;")
+	// Two actions that write one variable, one of them faulting where
+	// x = 0: GCL007 compares their successors state by state.
+	f.Add("var x : 0..3;\nvar y : 0..1;\ninit x == 1;\naction inc: x < 3 -> x := x + 1;\naction inv: y == 0 -> x := 3 / x;")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return

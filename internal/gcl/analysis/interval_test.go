@@ -152,13 +152,6 @@ func TestIntervalSoundness(t *testing.T) {
 	}
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func TestSaturationNoOverflow(t *testing.T) {
 	huge := Interval{satLimit, satLimit}
 	got := huge.Mul(huge) // would overflow without saturation

@@ -37,15 +37,19 @@ func reachEnv(p *Pass) (env, bool) {
 	if !sat {
 		return nil, false // no initial states: GCL009's business
 	}
+	// ge and post are each action's guard-refined pre-state and its
+	// post-state, rewritten in place for every action.
+	scratch := make(env, 2*len(reach))
+	ge, post := scratch[:len(reach)], scratch[len(reach):]
 	for round := 0; round < reachFixpointCap; round++ {
 		changed := false
 		for ai := range prog.Actions {
 			a := &prog.Actions[ai]
-			ge, ok := refineByGuard(prog, a.Guard, reach)
-			if !ok || !guardMayHold(prog, a.Guard, reach) {
+			copy(ge, reach)
+			if !refineInto(prog, a.Guard, ge) || !guardMayHold(prog, a.Guard, reach) {
 				continue // not enabled anywhere in the current box
 			}
-			post := ge.clone()
+			copy(post, ge)
 			blocked := false
 			for _, as := range a.Assigns {
 				vi := identIndex(prog, as.Name)
@@ -96,12 +100,13 @@ func runReachable(p *Pass) []Diag {
 		return nil
 	}
 	var diags []Diag
+	ge := make(env, len(reach))
 	for i, g := range p.guardStates() {
 		if g.dead() {
 			continue // GCL001 already covers the action
 		}
 		a := &p.Prog.Actions[i]
-		if _, sat := refineByGuard(p.Prog, a.Guard, reach); sat && guardMayHold(p.Prog, a.Guard, reach) {
+		if copy(ge, reach); refineInto(p.Prog, a.Guard, ge) && guardMayHold(p.Prog, a.Guard, reach) {
 			continue
 		}
 		diags = append(diags, Diag{

@@ -27,8 +27,13 @@ func Reach(sys *system.System, from *bitset.Set) *bitset.Set {
 // plus once per traversed edge and aborts with g's error when the meter
 // trips.
 func ReachGas(g *Gas, sys *system.System, from *bitset.Set) (*bitset.Set, error) {
-	seen := from.Clone()
-	stack := from.Members()
+	return reachFrom(g, sys, from.Clone())
+}
+
+// reachFrom is ReachGas on a set it owns: it grows seen to every state
+// reachable from it and returns it.
+func reachFrom(g *Gas, sys *system.System, seen *bitset.Set) (*bitset.Set, error) {
+	stack := seen.Members()
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -54,7 +59,7 @@ func ReachFromInit(sys *system.System) *bitset.Set {
 
 // ReachFromInitGas is ReachFromInit under a meter.
 func ReachFromInitGas(g *Gas, sys *system.System) (*bitset.Set, error) {
-	return ReachGas(g, sys, sys.Init())
+	return reachFrom(g, sys, sys.Init()) // Init returns a copy
 }
 
 // BFSTree holds the result of a breadth-first search from a single source:

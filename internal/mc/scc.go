@@ -33,6 +33,7 @@ func (cd *Condensation) Release() {
 	system.PutInts(cd.Comp)
 	system.PutInts(cd.Off)
 	system.PutInts(cd.Members)
+	system.PutBools(cd.Cyclic)
 	cd.Comp, cd.Off, cd.Members, cd.Cyclic = nil, nil, nil, nil
 }
 
@@ -55,17 +56,16 @@ func SCCs(sys *system.System, within *bitset.Set) *Condensation {
 }
 
 // SCCsGas is SCCs under a meter: it ticks g 1+|succ| per discovered
-// state. The per-state buffers are sized from the state count once and
-// drawn from system.Ints; the DFS call stack grows with the search
-// depth, which on the ring families is a few dozen frames however many
-// states there are.
+// state. Every per-state buffer, the DFS call stack included, is sized
+// from the state count once and drawn from the system pool.
 func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, error) {
 	n := sys.NumStates()
-	// index −1 means unvisited. A visited state stays on Tarjan's stack
-	// until its component is emitted, so "on the stack" is "visited with
-	// Comp < 0".
-	index := system.Ints(n)
-	defer system.PutInts(index)
+	// scratch holds index and then the DFS call stack. index −1 means
+	// unvisited. A visited state stays on Tarjan's stack until its
+	// component is emitted, so "on the stack" is "visited with Comp < 0".
+	scratch := system.Ints(n + frameLen*n)
+	defer system.PutInts(scratch)
+	index := scratch[:n]
 	comp := system.Ints(n)
 	for s := range index {
 		index[s] = -1
@@ -75,66 +75,67 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, err
 	// from the back: together they never hold more than n states.
 	buf := system.Ints(n)
 	emitted, top := 0, n
-	cd := &Condensation{Comp: comp, Off: system.Ints(n + 1)[:1], Cyclic: make([]bool, 0, n)}
+	cd := &Condensation{Comp: comp, Off: system.Ints(n + 1)[:1], Cyclic: system.Bools(n)[:0]}
 	cd.Off[0] = 0
 
-	// Iterative DFS with an explicit call frame per state on the DFS path.
-	// A state's low-link is read only while it is on that path, so it
-	// lives in its frame. A frame is pushed undiscovered and discovered
-	// when it first reaches the top; loop records a self-loop seen while
-	// scanning the state's row.
-	type frame struct {
-		s, ei, low int
-		loop       bool
-	}
-	var call []frame
+	// Iterative DFS. The state at the end of the DFS path is in locals: s,
+	// ei, the next entry of its row to scan, its low-link (read only while
+	// the state is on the path), and loop, whether a self-loop was seen
+	// while scanning its row. Every state before it on the path waits in
+	// call as a frame of frameLen ints: the state, 2·ei + loop, and the
+	// low-link. A state is on the path at most once, so the path fits in
+	// n frames. A state is discovered when it first reaches the end of
+	// the path.
+	call := scratch[n:n]
 	next := 0
 	for root := 0; root < n; root++ {
 		if index[root] >= 0 || (within != nil && !within.Has(root)) {
 			continue
 		}
-		call = append(call, frame{s: root})
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			succ := sys.Succ(f.s)
-			if index[f.s] < 0 {
+		s, ei, low, loop := root, 0, 0, false
+		for {
+			succ := sys.Succ(s)
+			if index[s] < 0 {
 				if err := g.Tick(1 + len(succ)); err != nil {
 					cd.Members = buf // so that Release gives buf back too
 					cd.Release()
 					return nil, err
 				}
-				index[f.s], f.low = next, next
+				index[s], low = next, next
 				next++
 				top--
-				buf[top] = f.s
+				buf[top] = s
 			}
 			descended := false
-			for f.ei < len(succ) {
-				t := succ[f.ei]
-				f.ei++
-				if t == f.s {
-					f.loop = true
+			for ei < len(succ) {
+				t := succ[ei]
+				ei++
+				if t == s {
+					loop = true
 					continue
 				}
 				if within != nil && !within.Has(t) {
 					continue
 				}
 				if index[t] < 0 {
-					call = append(call, frame{s: t})
+					l := 0
+					if loop {
+						l = 1
+					}
+					call = append(call, s, ei<<1|l, low)
+					s, ei, loop = t, 0, false
 					descended = true
 					break
 				}
-				if comp[t] < 0 && index[t] < f.low {
-					f.low = index[t]
+				if comp[t] < 0 && index[t] < low {
+					low = index[t]
 				}
 			}
 			if descended {
 				continue
 			}
-			// f.s finished: emit its component if it is the root of one.
-			done := *f
-			call = call[:len(call)-1]
-			if done.low == index[done.s] {
+			// s finished: emit its component if it is the root of one.
+			if low == index[s] {
 				ci, first := cd.Len(), emitted
 				for {
 					w := buf[top]
@@ -142,23 +143,28 @@ func SCCsGas(g *Gas, sys *system.System, within *bitset.Set) (*Condensation, err
 					comp[w] = ci
 					buf[emitted] = w
 					emitted++
-					if w == done.s {
+					if w == s {
 						break
 					}
 				}
 				cd.Off = append(cd.Off, emitted)
-				cd.Cyclic = append(cd.Cyclic, done.loop || emitted-first > 1)
+				cd.Cyclic = append(cd.Cyclic, loop || emitted-first > 1)
 			}
-			if len(call) > 0 {
-				if p := &call[len(call)-1]; done.low < p.low {
-					p.low = done.low
-				}
+			if len(call) == 0 {
+				break
 			}
+			// Resume the state before s on the path.
+			f := call[len(call)-frameLen:]
+			s, ei, loop, low = f[0], f[1]>>1, f[1]&1 == 1, min(f[2], low)
+			call = call[:len(call)-frameLen]
 		}
 	}
 	cd.Members = buf[:emitted]
 	return cd, nil
 }
+
+// frameLen is the length of one DFS call frame in SCCsGas.
+const frameLen = 3
 
 // Cycle holds a witness cycle: states[0] == states[len-1] is implied (the
 // last state has a transition back to states[0]).

@@ -363,14 +363,20 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, kind, key strin
 				return
 			}
 		}
-		s.logf("job start kind=%s request=%s", kind, requestIDFrom(ctx))
-		v, err := safeCompute(ctx, compute)
-		status := "ok"
-		if err != nil {
-			status = "err"
+		// The log arguments are boxed only when someone reads them.
+		logging := s.cfg.Logf != nil
+		if logging {
+			s.logf("job start kind=%s request=%s", kind, requestIDFrom(ctx))
 		}
-		s.logf("job done kind=%s request=%s status=%s elapsed_us=%d",
-			kind, requestIDFrom(ctx), status, time.Since(started).Microseconds())
+		v, err := safeCompute(ctx, compute)
+		if logging {
+			status := "ok"
+			if err != nil {
+				status = "err"
+			}
+			s.logf("job done kind=%s request=%s status=%s elapsed_us=%d",
+				kind, requestIDFrom(ctx), status, time.Since(started).Microseconds())
+		}
 		res <- outcome{val: v, err: err}
 	}}
 	if !s.pool.submit(j) {

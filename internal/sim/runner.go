@@ -16,9 +16,6 @@ type Result struct {
 	Steps int
 	// Final is the last configuration.
 	Final Config
-	// RuleFires counts executions per rule name over the whole run
-	// (including steps after convergence if RunAfterConvergence is set).
-	RuleFires map[string]int
 	// MaxTokens is the largest token count observed.
 	MaxTokens int
 }
@@ -32,8 +29,7 @@ type Runner struct {
 	Daemon Daemon
 	// MaxSteps bounds the run (required, > 0).
 	MaxSteps int
-	// RunAfterConvergence keeps executing (and counting rule fires) for
-	// the remaining budget after legitimacy is reached — used by the
+	// RunAfterConvergence keeps executing for the remaining budget after legitimacy is reached — used by the
 	// token-circulation experiments.
 	RunAfterConvergence bool
 	// OnStep, if set, is called once per move: after the daemon picks m
@@ -58,7 +54,7 @@ func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 		return nil, err
 	}
 	cur := initial.Clone()
-	res := &Result{RuleFires: make(map[string]int), Final: cur}
+	res := &Result{Final: cur}
 	moves, tokens := r.Proto.scan(nil, cur)
 	res.MaxTokens, res.Converged = tokens, tokens == 1
 
@@ -79,7 +75,6 @@ func (r *Runner) RunCtx(ctx context.Context, initial Config) (*Result, error) {
 			r.OnStep(step, cur, tokens, m)
 		}
 		cur[m.Proc] = m.NewVal
-		res.RuleFires[m.Rule]++
 		moves, tokens = r.Proto.scan(moves[:0], cur)
 		res.MaxTokens = max(res.MaxTokens, tokens)
 		if !res.Converged {

@@ -1,40 +1,87 @@
 package system
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 )
 
 func TestIntsSizes(t *testing.T) {
-	for _, n := range []int{0, 1, minPooled - 1, minPooled, 1000, 2187, 2188} {
-		// What the pool hands out lies in n's class: below twice n.
+	for _, n := range []int{0, 1, minPooled - 1, minPooled, 1000, 2187, 2188, 8505, 9477} {
+		// What the pool hands out is at most an eighth longer than n.
 		s := Ints(n)
-		if len(s) != n || (n >= minPooled && cap(s) >= 2*n) {
-			t.Fatalf("Ints(%d): len %d cap %d, want len %d and cap below %d", n, len(s), cap(s), n, 2*n)
+		if len(s) != n || (n >= minPooled && 8*cap(s) > 9*n) {
+			t.Fatalf("Ints(%d): len %d cap %d, want len %d and cap at most %d", n, len(s), cap(s), n, n+n/8)
 		}
 		PutInts(s)
 	}
-	// A class nothing has given back to misses, and a miss allocates
-	// exactly what make would.
-	const n = 1<<17 + 3
-	if s := Ints(n); cap(s) != n {
-		t.Fatalf("Ints(%d) on an empty class: cap %d, want exactly %d", n, cap(s), n)
+	// Below the floor a miss allocates exactly what make would.
+	if s := Ints(minPooled - 1); cap(s) != minPooled-1 {
+		t.Fatalf("Ints(%d): cap %d, want exactly %d", minPooled-1, cap(s), minPooled-1)
 	}
 }
 
-// TestIntsNeverHandsOutTooLittle gives back a slice just too short for
-// the request in its own class: Ints must not return it.
+// TestPoolClasses checks the class arithmetic: bounds rise by an
+// eighth of an octave, every capacity joins the class of the largest
+// bound it reaches, and every request looks in the class of the
+// smallest bound it fits.
+func TestPoolClasses(t *testing.T) {
+	for k := floorClass(minPooled); k < floorClass(1<<40); k++ {
+		if b, next := classBound(k), classBound(k+1); next <= b || 8*next > 9*b {
+			t.Fatalf("class %d bound %d, class %d bound %d: want a rise of at most an eighth", k, b, k+1, next)
+		}
+		if got := floorClass(classBound(k)); got != k {
+			t.Fatalf("floorClass(classBound(%d)) = %d", k, got)
+		}
+	}
+	for c := minPooled; c < 1<<16; c++ {
+		k := floorClass(c)
+		if classBound(k) > c || classBound(k+1) <= c {
+			t.Fatalf("capacity %d in class %d with bounds [%d, %d)", c, k, classBound(k), classBound(k+1))
+		}
+		if up := floorClass(c-1) + 1; classBound(up) < c || classBound(up-1) >= c {
+			t.Fatalf("request %d looks in class %d of bound %d", c, up, classBound(up))
+		}
+	}
+}
+
+// TestIntsNeverHandsOutTooLittle gives back slices just too short for
+// a request: Ints must not return them.
 func TestIntsNeverHandsOutTooLittle(t *testing.T) {
 	const n = 3000
-	if bits.Len(n-1) != bits.Len(n) {
-		t.Fatal("n-1 and n must share a class")
-	}
 	for i := 0; i < 4; i++ {
 		PutInts(make([]int, n-1))
 	}
 	if s := Ints(n); len(s) != n || cap(s) < n {
 		t.Fatalf("Ints(%d): len %d cap %d", n, len(s), cap(s))
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestPoolWarmAllocs alternates the sizes cold checks ask for: D3 and
+// A3 at N = 6 have 2187 states and 2188 row offsets, 8505 transitions
+// in a compiled D3, and K3's compiled rows hold 9477. Once each size has
+// been given back once, drawing and returning them allocates nothing.
+func TestPoolWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sizes := []int{2187, 2188, 8505, 9477}
+	cycle := func() {
+		for _, n := range sizes {
+			s := Ints(n)
+			s[n-1] = n
+			PutInts(s)
+		}
+		b := Bools(2187)
+		PutBools(b)
+		w := Words(385)
+		PutWords(w)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm Ints/PutInts cycle makes %.0f allocations, want 0", allocs)
 	}
 }
 

@@ -12,7 +12,6 @@ package system
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Var is one finite-domain variable of a state space. Values range over
@@ -136,21 +135,30 @@ func (sp *Space) Decode(s int, dst Vals) Vals {
 
 // StateString renders state s as "x=0 y=true ...".
 func (sp *Space) StateString(s int) string {
-	v := sp.Decode(s, nil)
-	var b strings.Builder
-	for i, x := range v {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(sp.vars[i].Name)
-		b.WriteByte('=')
-		if sp.vars[i].Fmt != nil {
-			b.WriteString(sp.vars[i].Fmt(x))
-		} else {
-			b.WriteString(strconv.Itoa(x))
-		}
+	var buf [64]byte
+	return string(sp.AppendState(buf[:0], s))
+}
+
+// AppendState appends StateString(s) to dst and returns the extended
+// slice.
+func (sp *Space) AppendState(dst []byte, s int) []byte {
+	if s < 0 || s >= sp.size {
+		panic(fmt.Sprintf("system: state %d out of space [0,%d)", s, sp.size))
 	}
-	return b.String()
+	for i, v := range sp.vars {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, v.Name...)
+		dst = append(dst, '=')
+		if x := s % v.Card; v.Fmt != nil {
+			dst = append(dst, v.Fmt(x)...)
+		} else {
+			dst = strconv.AppendInt(dst, int64(x), 10)
+		}
+		s /= v.Card
+	}
+	return dst
 }
 
 // SameShape reports whether two spaces have identical variable names and

@@ -3,11 +3,10 @@
 // sequences, plus validity checks tying sequences back to automata. The
 // checkers in internal/core decide the relations symbolically over whole
 // systems; this package is the ground truth those decisions are tested
-// against, and what the simulator uses to classify recorded runs.
+// against.
 package trace
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/system"
@@ -114,41 +113,4 @@ func Format(sys *system.System, seq []int) string {
 		parts[i] = sys.StateString(s)
 	}
 	return strings.Join(parts, " → ")
-}
-
-// Recorder accumulates the states visited by a run (simulator or explicit
-// walk). The zero value is ready to use.
-type Recorder struct {
-	states []int
-}
-
-// Observe appends a state. Consecutive duplicates are kept; use Destutter
-// on Seq() if stuttering should be collapsed.
-func (r *Recorder) Observe(s int) { r.states = append(r.states, s) }
-
-// Seq returns a copy of the recorded sequence.
-func (r *Recorder) Seq() []int {
-	out := make([]int, len(r.states))
-	copy(out, r.states)
-	return out
-}
-
-// Len returns the number of recorded states.
-func (r *Recorder) Len() int { return len(r.states) }
-
-// Last returns the most recently recorded state. It panics on an empty
-// recorder — callers always observe the initial state first.
-func (r *Recorder) Last() int {
-	if len(r.states) == 0 {
-		panic("trace: Last on empty recorder")
-	}
-	return r.states[len(r.states)-1]
-}
-
-// Reset clears the recorder for reuse.
-func (r *Recorder) Reset() { r.states = r.states[:0] }
-
-// String summarizes the recorder for debugging.
-func (r *Recorder) String() string {
-	return fmt.Sprintf("trace(%d states)", len(r.states))
 }

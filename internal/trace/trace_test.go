@@ -237,32 +237,3 @@ func TestFormat(t *testing.T) {
 		t.Fatalf("Format = %q", got)
 	}
 }
-
-func TestRecorder(t *testing.T) {
-	var r Recorder
-	r.Observe(1)
-	r.Observe(1)
-	r.Observe(2)
-	if r.Len() != 3 || r.Last() != 2 {
-		t.Fatalf("recorder state: %v", r.Seq())
-	}
-	seq := r.Seq()
-	seq[0] = 99
-	if r.Seq()[0] != 1 {
-		t.Fatal("Seq exposed internal storage")
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestRecorderLastPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var r Recorder
-	r.Last()
-}
