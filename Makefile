@@ -204,13 +204,14 @@ journal-race:
 # journal-compact-race hammers the retention layer specifically: the
 # writer-goroutine compactor racing concurrent appenders, the
 # degradation ladder's backpressure gate, the service retention loop
-# (snapshot → SetCovered → compact), the fleet's cursor-below-horizon
-# digest fallback, and the SIGKILL-mid-compaction binary test — the
-# code paths where a lost wakeup or a stale horizon read would corrupt
-# durable history.
+# (snapshot → SetCovered → compact), in-journal checkpoints (trigger,
+# chunk lane, crash between chunks, replay from a checkpoint), the
+# fleet's cursor-below-horizon digest fallback, and the
+# SIGKILL-mid-compaction binary test — the code paths where a lost
+# wakeup or a stale horizon read would corrupt durable history.
 journal-compact-race:
 	$(GO) test -race -count=2 -run \
-		'Retention|Compact|Budget|Shed|Backpressure|Horizon|TimeTravel|ReplayTo' \
+		'Retention|Compact|Budget|Shed|Backpressure|Horizon|TimeTravel|ReplayTo|Checkpoint' \
 		./internal/journal/... ./internal/service/... ./internal/fleet/... ./cmd/checkd/...
 
 # bench-journal regenerates the recorded journal baselines: E20 (group

@@ -230,3 +230,18 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 		t.Errorf("usage string omits lint's optional -json flag: %s", usage)
 	}
 }
+
+// TestRunSelfStabOverflowingSpace: a program past 2^62 states is an
+// error exit, not a panic.
+func TestRunSelfStabOverflowingSpace(t *testing.T) {
+	path := writeTemp(t, "huge.gcl", `
+var a : 0..999999; var b : 0..999999; var c : 0..999999; var d : 0..999999;
+var e : 0..999999; var f : 0..999999; var g : 0..999999; var h : 0..999999;
+init a == 0;
+action t: true -> a := a;
+`)
+	var b strings.Builder
+	if err := run([]string{"selfstab", path}, &b); err == nil || !strings.Contains(err.Error(), "2^62") {
+		t.Fatalf("err = %v, output:\n%s", err, b.String())
+	}
+}

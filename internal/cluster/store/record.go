@@ -61,14 +61,22 @@ var (
 // torn write that truncates the payload cannot masquerade as a shorter
 // valid record.
 func EncodeRecord(gen uint64, payload []byte) []byte {
-	out := make([]byte, recordHeaderSize+len(payload)+4)
-	copy(out, recordMagic[:])
-	binary.BigEndian.PutUint64(out[4:], gen)
-	binary.BigEndian.PutUint32(out[12:], uint32(len(payload)))
-	copy(out[recordHeaderSize:], payload)
-	crc := crc32.ChecksumIEEE(out[4 : recordHeaderSize+len(payload)])
-	binary.BigEndian.PutUint32(out[recordHeaderSize+len(payload):], crc)
-	return out
+	return AppendRecord(make([]byte, 0, RecordOverhead+len(payload)), gen, payload)
+}
+
+// RecordOverhead is the framing EncodeRecord adds around a payload.
+const RecordOverhead = recordHeaderSize + 4
+
+// AppendRecord appends EncodeRecord(gen, payload) to dst, so a writer
+// framing many records can build them in one buffer.
+func AppendRecord(dst []byte, gen uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, recordMagic[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, gen)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	crc := crc32.ChecksumIEEE(dst[start+4:])
+	return binary.BigEndian.AppendUint32(dst, crc)
 }
 
 // DecodeRecord parses one record from the front of b, returning the

@@ -49,6 +49,13 @@ func Analyze(prog *gcl.Program, opts Options) (*Result, error) {
 	if err := gcl.Check(prog); err != nil {
 		return nil, err
 	}
+	return AnalyzeChecked(prog, opts), nil
+}
+
+// AnalyzeChecked is Analyze for a program that has already passed
+// gcl.Check — a server that checks every submission at admission need
+// not check it twice.
+func AnalyzeChecked(prog *gcl.Program, opts Options) *Result {
 	limit := opts.ExactStateLimit
 	if limit <= 0 {
 		limit = DefaultExactStateLimit
@@ -58,7 +65,7 @@ func Analyze(prog *gcl.Program, opts Options) (*Result, error) {
 	if analyzers == nil {
 		analyzers = registry
 	}
-	res := &Result{States: cardProduct(prog, limit)}
+	res := &Result{States: gcl.StateBound(prog, limit)}
 	// The exact tier runs first: when it completes, the analyzers whose
 	// every finding it would replace need not run.
 	var facts *exactFacts
@@ -76,18 +83,5 @@ func Analyze(prog *gcl.Program, opts Options) (*Result, error) {
 		res.Exact = true
 	}
 	res.Diags = Sort(diags)
-	return res, nil
-}
-
-// cardProduct multiplies the declared cardinalities, saturating at
-// cap+1 so absurd declarations cannot overflow.
-func cardProduct(prog *gcl.Program, cap int) int {
-	size := 1
-	for _, v := range prog.Vars {
-		size *= v.Card()
-		if size > cap {
-			return cap + 1
-		}
-	}
-	return size
+	return res
 }

@@ -293,8 +293,8 @@ action t: true -> a := a;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cardProduct(prog, 1<<16); got != 1<<16+1 {
-		t.Fatalf("cardProduct = %d", got)
+	if got := gcl.StateBound(prog, 1<<16); got != 1<<16+1 {
+		t.Fatalf("StateBound = %d", got)
 	}
 }
 

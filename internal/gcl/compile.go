@@ -131,7 +131,42 @@ func putRows(off, succ []int, err error) error {
 	return err
 }
 
+// StateBound returns the number of states a program's declarations
+// span — the product of their cardinalities — or limit+1 once that
+// product passes limit, so a size check against limit cannot overflow.
+func StateBound(prog *Program, limit int) int {
+	size := 1
+	for _, v := range prog.Vars {
+		if c := v.Card(); c > limit/size {
+			return limit + 1
+		} else {
+			size *= c
+		}
+	}
+	return size
+}
+
+// SameShape reports whether two programs declare the same variables, in
+// order, with the same cardinalities: whether their state spaces would
+// have the same shape, without building them.
+func SameShape(a, b *Program) bool {
+	if len(a.Vars) != len(b.Vars) {
+		return false
+	}
+	for i, v := range a.Vars {
+		if w := b.Vars[i]; v.Name != w.Name || v.Card() != w.Card() {
+			return false
+		}
+	}
+	return true
+}
+
+// maxStates is the largest state space system.NewSpace represents.
+const maxStates = 1 << 62
+
 // SpaceOf builds the structured state space of a program's declarations.
+// It panics when they span more than 2^62 states; StateBound checks
+// first.
 func SpaceOf(prog *Program) *system.Space { //gcvet:gasloop-ok one iteration per declared variable, never per state
 	vars := make([]system.Var, len(prog.Vars))
 	for i, v := range prog.Vars {

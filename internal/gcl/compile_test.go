@@ -310,3 +310,41 @@ func (bogusExpr) Type() Type     { return TypeInvalid }
 func (bogusExpr) Position() Pos  { return Pos{} }
 
 func nil2expr() Expr { return bogusExpr{} }
+
+// hugeSrc declares 8 variables over 0..999999: 10^48 states, past the
+// 2^62 a state space can index.
+const hugeSrc = `
+var a : 0..999999; var b : 0..999999; var c : 0..999999; var d : 0..999999;
+var e : 0..999999; var f : 0..999999; var g : 0..999999; var h : 0..999999;
+init a == 0;
+action t: true -> a := a;
+`
+
+// TestCompileOverflowingSpaceErrors: a program whose declarations span
+// more than 2^62 states fails to compile with an error instead of
+// panicking in the space constructor, and StateBound saturates on it.
+func TestCompileOverflowingSpaceErrors(t *testing.T) {
+	prog, err := Parse(hugeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := StateBound(prog, 1<<62); got != 1<<62+1 {
+		t.Fatalf("StateBound = %d, want the saturated 2^62+1", got)
+	}
+	if got := StateBound(prog, 1<<20); got != 1<<20+1 {
+		t.Fatalf("StateBound under 2^20 = %d", got)
+	}
+	if _, err := CompileProgram("huge", prog); err == nil || !strings.Contains(err.Error(), "2^62") {
+		t.Fatalf("compile: err = %v, want the overflow named", err)
+	}
+	small, err := Parse("var x : 0..2; var y : bool; action t: true -> x := x;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := StateBound(small, 100); got != 6 {
+		t.Fatalf("StateBound = %d, want 6", got)
+	}
+	if !SameShape(small, small) || SameShape(small, prog) {
+		t.Fatal("SameShape disagrees with the declarations")
+	}
+}

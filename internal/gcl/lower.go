@@ -152,6 +152,9 @@ type Lowered struct {
 // per entry, and Lower returns g's error (cancellation or budget
 // exhaustion) instead of finishing.
 func Lower(g *mc.Gas, prog *Program) (*Lowered, error) {
+	if StateBound(prog, maxStates) > maxStates {
+		return nil, fmt.Errorf("gcl: state space above 2^62 states")
+	}
 	sp := SpaceOf(prog)
 	return lower(g, prog, sp, nil, nil, sp.Size())
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,29 +28,59 @@ type ReplaceBackend interface {
 	Replace(b []byte) error
 }
 
+// PrefixDropper is the optional capability that makes compaction cheap:
+// cut the first n bytes off the backend's contents, atomically, keeping
+// the rest as it is. A backend that has it lets the compactor keep the
+// surviving frames instead of re-encoding them for Replace.
+type PrefixDropper interface {
+	DropPrefix(n int64) error
+}
+
 // MemBackend is an in-memory backend for tests and fleet replicas.
 // Safe for concurrent use.
 type MemBackend struct {
-	mu  sync.Mutex
-	buf []byte
+	mu   sync.Mutex
+	segs [][]byte // appended buffers, oldest first
+	n    int      // total bytes
 }
 
 // NewMemBackend returns an empty in-memory backend, optionally seeded
 // with existing journal bytes (a "restart" keeps the same backend).
 func NewMemBackend(seed []byte) *MemBackend {
-	return &MemBackend{buf: append([]byte(nil), seed...)}
+	m := &MemBackend{}
+	m.set(seed)
+	return m
+}
+
+// set replaces the contents with a copy of b. Callers hold mu (or own m).
+func (m *MemBackend) set(b []byte) {
+	m.segs, m.n = nil, len(b)
+	if len(b) > 0 {
+		m.segs = [][]byte{append([]byte(nil), b...)}
+	}
 }
 
 func (m *MemBackend) ReadAll() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.buf...), nil
+	out := make([]byte, 0, m.n)
+	for _, seg := range m.segs {
+		out = append(out, seg...)
+	}
+	return out, nil
 }
 
+// Append keeps b instead of copying it, so the caller must not modify b
+// afterwards. The journal's writer hands over each batch's buffer and
+// never touches it again, and the events it publishes share that
+// buffer: a replica holds each batch in memory once.
 func (m *MemBackend) Append(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = append(m.buf, b...)
+	if len(b) > 0 {
+		m.segs = append(m.segs, b)
+		m.n += len(b)
+	}
 	return nil
 }
 
@@ -57,7 +88,7 @@ func (m *MemBackend) Append(b []byte) error {
 func (m *MemBackend) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.buf)
+	return m.n
 }
 
 // Replace atomically substitutes the backend's contents — the in-memory
@@ -65,7 +96,28 @@ func (m *MemBackend) Len() int {
 func (m *MemBackend) Replace(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = append(m.buf[:0:0], b...)
+	m.set(b)
+	return nil
+}
+
+// DropPrefix cuts the first n bytes: whole buffers go, and the one the
+// cut falls in is re-sliced.
+func (m *MemBackend) DropPrefix(n int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n < 0 || n > int64(m.n) {
+		return fmt.Errorf("journal: drop %d bytes of a %d-byte backend", n, m.n)
+	}
+	m.n -= int(n)
+	for n > 0 {
+		if seg := m.segs[0]; int64(len(seg)) > n {
+			m.segs[0] = seg[n:]
+			break
+		}
+		n -= int64(len(m.segs[0]))
+		m.segs[0] = nil
+		m.segs = m.segs[1:]
+	}
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/cluster/store"
 )
@@ -14,6 +16,11 @@ type Event struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data,omitempty"`
 }
+
+// eventFraming bounds what framing adds to an event's kind and data:
+// the record header and CRC plus the body's JSON punctuation. The
+// writer sizes a batch's buffer with it.
+const eventFraming = store.RecordOverhead + len(`{"kind":"","data":}`)
 
 // eventBody is the payload inside the SNP1 frame; the sequence number
 // rides the frame's generation field, so it is CRC-protected without
@@ -42,15 +49,35 @@ type Stats struct {
 // EncodeEvent frames one event in the store's SNP1 record format: the
 // sequence number in the generation field, the kind + data as a JSON
 // payload, CRC32 over the lot.
-func EncodeEvent(ev Event) []byte {
-	body, err := json.Marshal(eventBody{Kind: ev.Kind, Data: ev.Data})
-	if err != nil {
+func EncodeEvent(ev Event) []byte { return appendEvent(nil, ev) }
+
+// bodyEncoder is a reusable JSON encoder for event bodies; the writer
+// frames every batch through one, so a commit allocates only its output.
+type bodyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var bodyEncoders = sync.Pool{New: func() any {
+	e := &bodyEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// appendEvent appends EncodeEvent(ev) to dst.
+func appendEvent(dst []byte, ev Event) []byte {
+	e := bodyEncoders.Get().(*bodyEncoder)
+	defer bodyEncoders.Put(e)
+	e.buf.Reset()
+	if err := e.enc.Encode(eventBody{Kind: ev.Kind, Data: ev.Data}); err != nil {
 		// Kind is a registry string and Data is already-valid JSON;
 		// reaching here means a caller handed us a non-JSON RawMessage.
 		// Frame the error loudly rather than panicking the writer.
-		body, _ = json.Marshal(eventBody{Kind: ev.Kind})
+		e.buf.Reset()
+		_ = e.enc.Encode(eventBody{Kind: ev.Kind})
 	}
-	return store.EncodeRecord(ev.Seq, body)
+	body := bytes.TrimSuffix(e.buf.Bytes(), []byte{'\n'})
+	return store.AppendRecord(dst, ev.Seq, body)
 }
 
 // decodeOne parses a single event from the front of b.
@@ -79,10 +106,19 @@ func decodeOne(b []byte) (Event, []byte, error) {
 // stats on what was skipped. Sequence gaps are legal (failed group
 // commits consume numbers); regressions and duplicates are not.
 func DecodeEvents(b []byte) ([]Event, Stats) {
+	events, _, stats := decodeEvents(b)
+	return events, stats
+}
+
+// decodeEvents is DecodeEvents that also reports where each accepted
+// event's frame starts in b.
+func decodeEvents(b []byte) ([]Event, []int64, Stats) {
 	stats := Stats{Bytes: len(b)}
 	var events []Event
+	var offs []int64
 	var lastSeq uint64
 	for len(b) > 0 {
+		at := int64(stats.Bytes - len(b))
 		ev, rest, err := decodeOne(b)
 		if err == nil {
 			b = rest
@@ -92,6 +128,7 @@ func DecodeEvents(b []byte) ([]Event, Stats) {
 			}
 			lastSeq = ev.Seq
 			events = append(events, ev)
+			offs = append(offs, at)
 			stats.Events++
 			continue
 		}
@@ -103,5 +140,5 @@ func DecodeEvents(b []byte) ([]Event, Stats) {
 		stats.Resyncs++
 		b = b[skip:]
 	}
-	return events, stats
+	return events, offs, stats
 }

@@ -15,4 +15,8 @@ const (
 	KindOutcome = "journal-outcome"
 	// KindCampaign records a completed chaos campaign summary.
 	KindCampaign = "journal-campaign"
+	// KindCheckpoint is one chunk of an in-journal checkpoint
+	// (AppendCheckpoint): the owner's serving state as of a journal
+	// sequence number, so the history below it can be compacted away.
+	KindCheckpoint = "journal-cache-checkpoint"
 )

@@ -20,6 +20,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -112,15 +113,34 @@ type Journal struct {
 	events  []Event // durable history, oldest first
 	batches batchHistogram
 
+	// offs[i] is where events[i]'s frame starts in the backend, counted
+	// from the start of the backend's last rewrite; trimmed is how many
+	// bytes compaction has since cut off its front. Writer-owned, and
+	// valid only while offsOK: a failed append leaves the backend's
+	// length unknown until the next rewrite.
+	offs    []int64
+	trimmed int64
+	offsOK  bool
+
 	// Retention state (retention.go). covered/ckptAttempts are guarded
-	// by mu; pressure waits on them. ckptReq is set before traffic.
-	// compactc carries compaction requests to the writer.
+	// by mu; a SetCovered call pokes attempted. ckptReq and selfCkpt are
+	// set before traffic. compactc carries compaction requests to the
+	// writer.
 	covered      uint64
 	ckptAttempts uint64
 	pressureBase uint64 // ckptAttempts snapshot at backpressure escalation
-	pressure     *sync.Cond
+	attempted    chan struct{}
 	ckptReq      func()
 	compactc     chan chan struct{}
+
+	// In-journal checkpoints (checkpoint.go). ckptc carries whole
+	// checkpoints to the writer; ckptDue marks a request the owner has
+	// not answered yet. sinceCkpt and ckptSize are writer-owned.
+	selfCkpt  bool
+	ckptc     chan []appendReq
+	ckptDue   atomic.Bool
+	sinceCkpt int64 // bytes committed since the last checkpoint
+	ckptSize  int64 // bytes of the last checkpoint
 
 	lastSeq      atomic.Uint64 // highest durable sequence number
 	depth        atomic.Int64  // records accepted but not yet flushed
@@ -149,13 +169,17 @@ func Open(b Backend, opt Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: read: %w", err)
 	}
-	events, stats := DecodeEvents(raw)
+	events, offs, stats := decodeEvents(raw)
 	j := &Journal{
 		b:      b,
 		opt:    opt.withDefaults(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		events: events,
+		offs:   offs,
+		// Damaged or stale records stay in the backend between the
+		// events; the first compaction re-encodes rather than keep them.
+		offsOK: stats.Corrupt == 0 && stats.Stale == 0,
 		replay: stats,
 	}
 	if j.opt.MaxBytes > 0 {
@@ -163,8 +187,9 @@ func Open(b Backend, opt Options) (*Journal, error) {
 			return nil, errors.New("journal: -journal-max-bytes requires a backend that supports atomic replace")
 		}
 	}
-	j.pressure = sync.NewCond(&j.mu)
+	j.attempted = make(chan struct{}, 1)
 	j.compactc = make(chan chan struct{}, 1)
+	j.ckptc = make(chan []appendReq)
 	j.appendc = make(chan appendReq, j.opt.MaxQueue)
 	j.usage.Store(int64(stats.Bytes))
 	if n := len(events); n > 0 {
@@ -282,17 +307,28 @@ func (j *Journal) writer(stop chan struct{}) {
 				close(ack)
 			}
 			continue
+		case reqs := <-j.ckptc:
+			j.commitCheckpoint(reqs)
+			continue
 		case <-stop:
 			// Graceful close: flush everything accepted before Close.
 			for j.depth.Load() > 0 {
-				j.commit(j.collect(<-j.appendc))
+				select {
+				case r := <-j.appendc:
+					j.commit(j.collect(r))
+				case reqs := <-j.ckptc:
+					j.commitCheckpoint(reqs)
+				}
 			}
 			return
 		}
 		batch := j.collect(first)
 		j.pressureGate()
-		j.commit(batch)
+		if n, err := j.commit(batch); err == nil {
+			j.sinceCkpt += n
+		}
 		j.checkBudget()
+		j.checkCheckpoint()
 	}
 }
 
@@ -314,15 +350,33 @@ func (j *Journal) collect(first appendReq) []appendReq {
 // the backend, then publish and ack. Sequence numbers are consumed even
 // when the flush fails — a torn write may have persisted a prefix of
 // the batch, and reusing its numbers would make replay accept a stale
-// record in place of a later acked one.
-func (j *Journal) commit(batch []appendReq) {
+// record in place of a later acked one. It returns the bytes written.
+func (j *Journal) commit(batch []appendReq) (int64, error) {
 	base := j.lastSeq.Load()
-	var buf []byte
+	size := 0
+	for _, r := range batch {
+		size += len(r.data) + len(r.kind) + eventFraming
+	}
+	buf := make([]byte, 0, size)
 	events := make([]Event, len(batch))
+	starts := make([]int64, len(batch))
+	ends := make([]int, len(batch))
 	for i, r := range batch {
-		ev := Event{Seq: base + uint64(i) + 1, Kind: r.kind, Data: r.data}
-		events[i] = ev
-		buf = append(buf, EncodeEvent(ev)...)
+		events[i] = Event{Seq: base + uint64(i) + 1, Kind: r.kind, Data: r.data}
+		starts[i] = int64(len(buf))
+		buf = appendEvent(buf, events[i])
+		ends[i] = len(buf)
+	}
+	// A frame ends with the data, the body's closing brace and the CRC.
+	// Where the data went in verbatim, the event shares the frame's copy,
+	// so a backend that keeps buf (MemBackend) holds the batch once.
+	at0 := j.usage.Load() + j.trimmed
+	for i := range events {
+		d := events[i].Data
+		if at := ends[i] - 5 - len(d); len(d) > 0 && at > int(starts[i]) && bytes.Equal(buf[at:at+len(d)], d) {
+			events[i].Data = buf[at : at+len(d) : at+len(d)]
+		}
+		starts[i] += at0
 	}
 	err := j.b.Append(buf)
 	j.depth.Add(-int64(len(batch)))
@@ -330,6 +384,7 @@ func (j *Journal) commit(batch []appendReq) {
 	// prefix of the batch, so over-counting is the safe direction.
 	j.usage.Add(int64(len(buf)))
 	if err != nil {
+		j.offsOK = false
 		j.appendErrors.Add(int64(len(batch)))
 		for _, r := range batch {
 			if r.ack != nil {
@@ -338,9 +393,10 @@ func (j *Journal) commit(batch []appendReq) {
 		}
 		// The numbering still advances past the possibly-torn region.
 		j.lastSeqAdvance(base + uint64(len(batch)))
-		return
+		return int64(len(buf)), err
 	}
 	last := base + uint64(len(batch))
+	j.offs = append(j.offs, starts...)
 	j.mu.Lock()
 	j.events = append(j.events, events...)
 	j.batches.observe(len(batch))
@@ -353,6 +409,7 @@ func (j *Journal) commit(batch []appendReq) {
 			r.ack <- appendAck{seq: events[i].Seq}
 		}
 	}
+	return int64(len(buf)), nil
 }
 
 // lastSeqAdvance moves lastSeq forward without publishing events (the
@@ -374,8 +431,7 @@ func (j *Journal) Close() {
 	}
 	j.closed = true
 	j.mu.Unlock()
-	close(j.stop)
-	j.pressure.Broadcast() // release a writer parked in the pressure gate
+	close(j.stop) // also releases a writer parked in the pressure gate
 	<-j.done
 }
 

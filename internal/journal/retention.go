@@ -2,20 +2,22 @@ package journal
 
 import (
 	"fmt"
+	"sort"
 )
 
 // Retention: checkpoint-anchored compaction plus a disk budget with an
 // explicit degradation ladder.
 //
-// Compaction drops the journal prefix covered by a durable checkpoint
-// outside the journal — the owner asserts this with SetCovered after a
-// cache snapshot lands on disk. Nothing reads the journal after startup
-// except time travel and the fleet's suffix pulls, which detect the
-// horizon themselves, so coverage alone decides what may go. The
-// surviving suffix is rewritten to the backend in one atomic Replace
-// (write temp + fsync + rename + fsync dir for FileBackend), so a kill
-// at any instant leaves either the old or the new journal, both fully
-// replayable.
+// Compaction drops the journal prefix covered by a durable checkpoint —
+// the owner asserts this with SetCovered after a cache snapshot lands on
+// disk, or after a checkpoint written into the journal itself
+// (checkpoint.go). Nothing reads the journal after startup except time
+// travel and the fleet's suffix pulls, which detect the horizon
+// themselves, so coverage alone decides what may go. The surviving
+// suffix is rewritten to the backend in one atomic Replace (write temp +
+// fsync + rename + fsync dir for FileBackend), or cut in place by a
+// PrefixDropper, so a kill at any instant leaves either the old or the
+// new journal, both fully replayable.
 //
 // The budget (Options.MaxBytes) degrades in explicit, observable rungs
 // when the journal outgrows it:
@@ -152,8 +154,27 @@ func (j *Journal) SetCovered(seq uint64) {
 	}
 	j.ckptAttempts++
 	j.mu.Unlock()
-	j.pressure.Broadcast()
+	select {
+	case j.attempted <- struct{}{}:
+	default: // a wakeup is already pending
+	}
 	j.pokeCompaction()
+}
+
+// Cover advances coverage to seq like SetCovered, but is not a
+// checkpoint attempt: nothing new became durable, coverage an earlier
+// checkpoint allowed was only held back until now. It schedules a
+// compaction when coverage moved.
+func (j *Journal) Cover(seq uint64) {
+	j.mu.Lock()
+	moved := seq > j.covered
+	if moved {
+		j.covered = seq
+	}
+	j.mu.Unlock()
+	if moved {
+		j.pokeCompaction()
+	}
 }
 
 // SetCheckpointRequest installs the owner's checkpoint trigger, called
@@ -231,10 +252,12 @@ func (j *Journal) retentionHorizon() uint64 {
 	return j.covered
 }
 
-// runCompaction rewrites the backend to the suffix above the retention
+// runCompaction cuts the backend down to the suffix above the retention
 // horizon. Writer goroutine only: nothing else mutates j.events or
 // appends to the backend while the swap is in flight, which is the
-// whole concurrency argument for compacting on the writer.
+// whole concurrency argument for compacting on the writer — and why the
+// writer reads j.events without the lock and takes it only to publish
+// the shorter history, so Events readers never wait on the rewrite.
 func (j *Journal) runCompaction() {
 	rb, ok := j.b.(ReplaceBackend)
 	if !ok {
@@ -244,40 +267,30 @@ func (j *Journal) runCompaction() {
 	if target <= j.horizon.Load() {
 		return
 	}
-	j.mu.Lock()
+	events := j.events
 	// First surviving index: events are sorted by Seq.
-	lo, hi := 0, len(j.events)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.events[mid].Seq <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	droppedN := lo
-	var buf []byte
-	for _, ev := range j.events[lo:] {
-		buf = append(buf, EncodeEvent(ev)...)
-	}
-	j.mu.Unlock()
-	if droppedN == 0 {
+	lo := sort.Search(len(events), func(i int) bool { return events[i].Seq > target })
+	if lo == 0 {
 		j.horizon.Store(target) // nothing stored below target (gaps)
 		return
 	}
-	if err := rb.Replace(buf); err != nil {
+	size, err := j.cutPrefix(rb, lo)
+	if err != nil {
 		j.compactErrors.Add(1)
 		return
 	}
 	j.mu.Lock()
-	survived := j.events[droppedN:]
-	j.events = append(make([]Event, 0, len(survived)), survived...)
+	j.events = events[lo:]
 	j.mu.Unlock()
-	old := j.usage.Swap(int64(len(buf)))
-	if d := old - int64(len(buf)); d > 0 {
+	// Readers copy under the lock, so none can reach the dropped events
+	// any more; clearing them lets their payloads go before the slice's
+	// next reallocation.
+	clear(events[:lo])
+	old := j.usage.Swap(size)
+	if d := old - size; d > 0 {
 		j.reclaimed.Add(d)
 	}
-	j.dropped.Add(int64(droppedN))
+	j.dropped.Add(int64(lo))
 	j.horizon.Store(target)
 	j.compactions.Add(1)
 	// Any compaction that restores the budget de-escalates the ladder
@@ -285,6 +298,34 @@ func (j *Journal) runCompaction() {
 	if max := j.opt.MaxBytes; max > 0 && j.usage.Load() <= max {
 		j.level.Store(DegradeNone)
 	}
+}
+
+// cutPrefix removes the frames of j.events[:lo] from the backend and
+// returns the backend's new size. A backend that can drop a prefix in
+// place keeps the surviving frames as they are, provided the writer
+// knows where the first of them starts; any other backend gets the
+// surviving events re-encoded and swapped in whole.
+func (j *Journal) cutPrefix(rb ReplaceBackend, lo int) (int64, error) {
+	if pd, ok := rb.(PrefixDropper); ok && j.offsOK {
+		n := j.offs[lo] - j.trimmed
+		if err := pd.DropPrefix(n); err != nil {
+			return 0, err
+		}
+		j.trimmed += n
+		j.offs = j.offs[lo:]
+		return j.usage.Load() - n, nil
+	}
+	var buf []byte
+	offs := make([]int64, 0, len(j.events)-lo)
+	for _, ev := range j.events[lo:] {
+		offs = append(offs, int64(len(buf)))
+		buf = appendEvent(buf, ev)
+	}
+	if err := rb.Replace(buf); err != nil {
+		return 0, err
+	}
+	j.offs, j.trimmed, j.offsOK = offs, 0, true
+	return int64(len(buf)), nil
 }
 
 // checkBudget runs after every commit: evaluate the ladder. Rung 1 is
@@ -343,21 +384,35 @@ func (j *Journal) checkBudget() {
 
 // pressureGate holds the writer before a commit while the ladder is in
 // the backpressure rung, until a checkpoint attempt completes (or the
-// journal closes). It then compacts with whatever coverage the attempt
-// produced; if that clears the budget the ladder resets and traffic
-// proceeds as if nothing happened — the paper's convergence frame
-// applied to storage: a bounded perturbation, then re-convergence.
+// journal closes). An in-journal checkpoint (AppendCheckpoint) is such
+// an attempt, and only the writer can commit it, so the gate lets it
+// through while it holds everything else. The gate then compacts with
+// whatever coverage the attempt produced; if that clears the budget the
+// ladder resets and traffic proceeds as if nothing happened — the
+// paper's convergence frame applied to storage: a bounded perturbation,
+// then re-convergence.
 func (j *Journal) pressureGate() {
 	if j.opt.MaxBytes <= 0 || j.level.Load() != DegradeBackpressure {
 		return
 	}
-	j.mu.Lock()
-	for !j.closed && j.level.Load() == DegradeBackpressure && j.ckptAttempts <= j.pressureBase {
-		j.pressure.Wait()
+	for j.pressureHeld() {
+		select {
+		case <-j.attempted:
+		case reqs := <-j.ckptc:
+			j.commitCheckpoint(reqs)
+		case <-j.stop:
+		}
 	}
-	j.mu.Unlock()
 	j.runCompaction()
 	if j.usage.Load() <= j.opt.MaxBytes {
 		j.level.Store(DegradeNone)
 	}
+}
+
+// pressureHeld reports whether the gate must keep holding: still in the
+// backpressure rung, open, and no checkpoint attempt since escalation.
+func (j *Journal) pressureHeld() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.closed && j.level.Load() == DegradeBackpressure && j.ckptAttempts <= j.pressureBase
 }

@@ -206,9 +206,15 @@ func (s *Server) parseProgram(field, src string) (*gcl.Program, error) {
 	if err := gcl.Check(prog); err != nil {
 		return nil, badRequest("%s: %v", field, err)
 	}
-	if size := gcl.SpaceOf(prog).Size(); size > s.cfg.MaxStates {
-		return nil, badRequest("%s: state space has %d states, above the server's limit of %d",
-			field, size, s.cfg.MaxStates)
+	// Bound the size from the declarations: building the space would
+	// panic on one past 2^62 states.
+	if size := gcl.StateBound(prog, 1<<62); size > s.cfg.MaxStates {
+		count := fmt.Sprint(size)
+		if size > 1<<62 {
+			count = "more than 2^62"
+		}
+		return nil, badRequest("%s: state space has %s states, above the server's limit of %d",
+			field, count, s.cfg.MaxStates)
 	}
 	return prog, nil
 }
@@ -286,7 +292,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	// Refinement compares two systems over one space. A mismatch is the
 	// client's error and is known from the declarations alone, so it is
 	// refused before either program is enumerated.
-	if !gcl.SpaceOf(concrete).SameShape(gcl.SpaceOf(abstract)) {
+	if !gcl.SameShape(concrete, abstract) {
 		s.writeComputeError(w, badRequest("programs declare different state spaces; refine requires a shared space"))
 		return
 	}
@@ -362,14 +368,12 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.resolveBudget(req.Budget)
 	s.execute(w, r, kindLint, key, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		res, err := analysis.Analyze(prog, analysis.Options{
+		// parseProgram has checked prog.
+		res := analysis.AnalyzeChecked(prog, analysis.Options{
 			Exact:           true,
 			ExactStateLimit: s.cfg.MaxStates,
 			Gas:             mc.NewGas(ctx, budget),
 		})
-		if err != nil {
-			return nil, badRequest("source: %v", err)
-		}
 		diags := res.Diags
 		if diags == nil {
 			diags = []analysis.Diag{} // a clean program lints to [], not null

@@ -178,3 +178,33 @@ func TestServiceProtocolParamsAreBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceOverflowingSpaceIs400: a program whose declarations span
+// more than 2^62 states is refused at admission with the state-space
+// 400 on every endpoint that takes GCL, not a 500 from the space
+// constructor's panic.
+func TestServiceOverflowingSpaceIs400(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 4})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	huge := `
+var a : 0..999999; var b : 0..999999; var c : 0..999999; var d : 0..999999;
+var e : 0..999999; var f : 0..999999; var g : 0..999999; var h : 0..999999;
+init a == 0;
+action t: true -> a := a;
+`
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/selfstab", map[string]any{"source": huge}},
+		{"/v1/lint", map[string]any{"source": huge}},
+		{"/v1/refine", map[string]any{"concrete": huge, "abstract": huge}},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "above the server's limit") {
+			t.Fatalf("%s: %d %s", tc.path, resp.StatusCode, body)
+		}
+	}
+}

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster/chaos"
 	"repro/internal/journal"
+	"repro/internal/service/cache"
 )
 
 // Event sourcing: when Config.JournalPath or Config.JournalBackend is
@@ -67,18 +69,50 @@ type campaignEvent struct {
 // cache snapshot file and anti-entropy sync already use, so the three
 // durability paths share one codec and one strictness policy.
 
+// checkpointChunk is the payload of one journal.KindCheckpoint event: a
+// run of the verdict cache as of journal sequence Head, least recently
+// used first, in the same persistedEntry codec. A checkpoint is Parts
+// chunks numbered from 0, which the journal commits as one batch.
+type checkpointChunk struct {
+	Entries []persistedEntry `json:"entries"`
+	Head    uint64           `json:"head"`
+	Part    int              `json:"part"`
+	Parts   int              `json:"parts"`
+}
+
+// checkpointChunkBytes bounds one chunk's entries, well inside
+// journal.MaxEventBytes; an entry larger than that on its own is left
+// out of checkpoints.
+const checkpointChunkBytes = 256 << 10
+
+// pullWindow is how long a cursor an anti-entropy puller presented
+// keeps holding the compaction horizon (see pullFloor).
+const pullWindow = time.Second
+
 // serverJournal bundles the journal with its retention machinery.
 type serverJournal struct {
 	j    *journal.Journal
 	file *journal.FileBackend // non-nil when opened from JournalPath
 
-	// ckptPoke wakes the retention checkpoint loop ahead of its ticker —
-	// the journal sends here (non-blocking) when it wants coverage to
-	// advance because the disk budget is under pressure.
+	// ckptPoke wakes the checkpoint loop: the retention loop ahead of
+	// its ticker, or the in-journal checkpoint writer. The journal sends
+	// here (non-blocking) when it wants coverage to advance.
 	ckptPoke chan struct{}
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	closeOne sync.Once
+
+	// selfCkpt is set when the server has no snapshot file and the
+	// journal holds its checkpoints of the cache (checkpointWriter). last
+	// is the newest one; checkpointWriter owns it until close.
+	selfCkpt bool
+	cache    *cache.Cache
+	last     ckptMark
+	// allowed is the coverage the checkpoints allow — the head of the
+	// checkpoint before the newest — which pulls may hold back, but never
+	// below least, the head of the checkpoint before that.
+	allowed, least atomic.Uint64
+	pulls          pullFloor
 }
 
 // newServerJournal opens the journal and folds its events into s's
@@ -114,7 +148,7 @@ func newServerJournal(s *Server, cfg Config) *serverJournal {
 		s.logf("journal: replayed %d events (corrupt %d, stale %d, resyncs %d) from %d bytes",
 			st.Events, st.Corrupt, st.Stale, st.Resyncs, st.Bytes)
 	}
-	s.replay(j.Events(1))
+	last := s.replay(j.Events(1))
 	if s.persister != nil {
 		// From here on a snapshot records the journal head, read before
 		// it copies the cache: recordVerdict puts a verdict before it
@@ -124,51 +158,53 @@ func newServerJournal(s *Server, cfg Config) *serverJournal {
 		// verdicts above it.
 		s.persister.setJournalSeq(j.LastSeq)
 	}
-	if cfg.JournalMaxBytes > 0 {
-		if s.persister != nil {
-			// The snapshot file on disk already covers its recorded
-			// checkpoint — seed coverage so a restart can compact
-			// immediately instead of waiting for the first snapshot.
-			j.SetCovered(s.persister.loadedCheckpoint.Load())
-			j.SetCheckpointRequest(func() {
-				select {
-				case sj.ckptPoke <- struct{}{}:
-				default: // a poke is already pending
-				}
-			})
-			sj.wg.Add(1)
-			go sj.checkpointLoop(s.persister, cfg.JournalCheckpointInterval)
-		} else {
-			// No snapshots means coverage never advances: the budget can
-			// only shed, never compact. Honor the bound but say so.
-			s.logf("journal: -journal-max-bytes set without a cache snapshot path; " +
-				"the budget can only shed async events, never compact")
+	poke := func() {
+		select {
+		case sj.ckptPoke <- struct{}{}:
+		default: // a poke is already pending
 		}
+	}
+	switch {
+	case s.persister == nil:
+		// No snapshot file: the journal is its own compaction source. It
+		// asks for a checkpoint as traffic accumulates and when a disk
+		// budget needs coverage; the cache goes into the journal.
+		sj.selfCkpt, sj.cache, sj.last = true, s.cache, last
+		j.SetCheckpointWriter(poke)
+		sj.wg.Add(1)
+		go sj.checkpointWriter()
+	case cfg.JournalMaxBytes > 0:
+		// The snapshot file on disk already covers its recorded
+		// checkpoint — seed coverage so a restart can compact
+		// immediately instead of waiting for the first snapshot.
+		j.SetCovered(s.persister.loadedCheckpoint.Load())
+		j.SetCheckpointRequest(poke)
+		sj.wg.Add(1)
+		go sj.checkpointLoop(s.persister, cfg.JournalCheckpointInterval)
 	}
 	return sj
 }
 
 // replay folds journaled events into the server's state through the
-// same mutations the live recorders make. Verdicts at or below the
-// cache snapshot's checkpoint are already in the cache; the rest are
-// decoded as strictly as a snapshot load. Metrics and campaigns are
-// memory-only and always fold the full history, so with a journal
-// /metrics counters are journal-lifetime, not process-lifetime.
-func (s *Server) replay(evs []journal.Event) {
-	var ckpt uint64
+// same mutations the live recorders make. The verdict cache starts from
+// the newer of the cache snapshot file and the last complete in-journal
+// checkpoint and folds only the verdicts above it, decoded as strictly
+// as a snapshot load. Metrics and campaigns are memory-only and always
+// fold the whole surviving history, so with a journal /metrics counters
+// are journal-lifetime, not process-lifetime. It returns where the
+// checkpoint it started from lies (zero without one).
+func (s *Server) replay(evs []journal.Event) ckptMark {
+	var floor uint64
 	if s.persister != nil {
-		ckpt = s.persister.loadedCheckpoint.Load()
+		floor = s.persister.loadedCheckpoint.Load()
 	}
+	mark := foldVerdicts(evs, floor, func(pe persistedEntry) {
+		if val, err := decodeCachedValue(pe.Kind, pe.Value); err == nil {
+			s.cache.Put(pe.Key, val)
+		}
+	})
 	for _, ev := range evs {
 		switch ev.Kind {
-		case journal.KindVerdict:
-			var pe persistedEntry
-			if ev.Seq <= ckpt || json.Unmarshal(ev.Data, &pe) != nil || pe.Key == "" {
-				continue
-			}
-			if val, err := decodeCachedValue(pe.Kind, pe.Value); err == nil {
-				s.cache.Put(pe.Key, val)
-			}
 		case journal.KindRequest:
 			var re requestEvent
 			if json.Unmarshal(ev.Data, &re) == nil {
@@ -186,6 +222,140 @@ func (s *Server) replay(evs []journal.Event) {
 			}
 		}
 	}
+	return mark
+}
+
+// ckptMark places one checkpoint in the journal: the head whose state it
+// holds and the sequence numbers of its first and last chunk.
+type ckptMark struct{ head, first, end uint64 }
+
+// foldVerdicts hands put, in fold order, the verdicts a cache rebuilt
+// from evs holds: the entries of the last complete checkpoint whose head
+// is above floor, oldest first, then every verdict event above that
+// head — or above floor, without such a checkpoint. A checkpoint's
+// entries go first, so they never displace a verdict journaled after its
+// head. It returns the checkpoint used (zero without one).
+func foldVerdicts(evs []journal.Event, floor uint64, put func(persistedEntry)) ckptMark {
+	mark, entries := lastCheckpoint(evs)
+	if mark.head > floor {
+		for _, pe := range entries {
+			put(pe)
+		}
+		floor = mark.head
+	} else {
+		mark = ckptMark{}
+	}
+	for _, ev := range evs {
+		if ev.Kind != journal.KindVerdict || ev.Seq <= floor {
+			continue
+		}
+		var pe persistedEntry
+		if json.Unmarshal(ev.Data, &pe) == nil && pe.Key != "" {
+			put(pe)
+		}
+	}
+	return mark
+}
+
+// lastCheckpoint finds the last checkpoint in evs whose chunks all
+// survive and returns where it lies and its entries. A crash mid-checkpoint
+// leaves a prefix of its chunks, which is skipped here; the checkpoint
+// before it is still whole, because coverage only ever reaches the
+// checkpoint before the newest complete one.
+func lastCheckpoint(evs []journal.Event) (ckptMark, []persistedEntry) {
+	type header struct {
+		Head  uint64 `json:"head"`
+		Part  int    `json:"part"`
+		Parts int    `json:"parts"`
+	}
+	// Chunks of one checkpoint are consecutive events; find the last run
+	// numbered 0..Parts-1 from headers alone, then decode its entries.
+	var run, last []journal.Event
+	var mark ckptMark
+	var runHead uint64
+	for _, ev := range evs {
+		if ev.Kind != journal.KindCheckpoint {
+			run = nil
+			continue
+		}
+		var h header
+		if json.Unmarshal(ev.Data, &h) != nil || h.Parts <= 0 {
+			run = nil
+			continue
+		}
+		if h.Part == 0 {
+			run, runHead = nil, h.Head
+		}
+		if h.Head != runHead || h.Part != len(run) {
+			run = nil
+			continue
+		}
+		run = append(run, ev)
+		if len(run) == h.Parts {
+			last, mark = run, ckptMark{runHead, run[0].Seq, ev.Seq}
+			run = nil
+		}
+	}
+	var entries []persistedEntry
+	for _, ev := range last {
+		var c checkpointChunk
+		if json.Unmarshal(ev.Data, &c) != nil {
+			return ckptMark{}, nil
+		}
+		entries = append(entries, c.Entries...)
+	}
+	return mark, entries
+}
+
+// encodeCheckpoint renders cache entries, least recently used first, as
+// the chunks of one checkpoint at journal head. Each chunk is built in
+// one buffer; the entries are the persistedEntry codec written by hand,
+// so a value is marshaled once, straight into its chunk.
+func encodeCheckpoint(head uint64, entries []cache.Entry) [][]byte {
+	const open = `{"entries":[`
+	var chunks [][]byte
+	var cur []byte
+	var entry bytes.Buffer
+	enc := json.NewEncoder(&entry)
+	field := func(name string, v any) bool {
+		entry.WriteString(name)
+		if enc.Encode(v) != nil {
+			return false
+		}
+		entry.Truncate(entry.Len() - 1) // Encode's newline
+		return true
+	}
+	for _, e := range entries {
+		kind, ok := cacheEntryKind(e.Val)
+		if !ok {
+			continue
+		}
+		entry.Reset()
+		if !field(`{"kind":`, kind) || !field(`,"key":`, e.Key) || !field(`,"value":`, e.Val) {
+			continue
+		}
+		entry.WriteByte('}')
+		if len(open)+entry.Len() > checkpointChunkBytes {
+			continue
+		}
+		if cur != nil && len(cur)+1+entry.Len() > checkpointChunkBytes {
+			chunks, cur = append(chunks, cur), nil
+		}
+		if cur == nil {
+			cur = append(make([]byte, 0, checkpointChunkBytes+64), open...)
+		} else {
+			cur = append(cur, ',')
+		}
+		cur = append(cur, entry.Bytes()...)
+	}
+	if cur == nil {
+		cur = []byte(open)
+	}
+	chunks = append(chunks, cur)
+	for i := range chunks {
+		chunks[i] = fmt.Appendf(chunks[i], `],"head":%d,"part":%d,"parts":%d}`, head, i, len(chunks))
+	}
+	return chunks
 }
 
 // checkpointLoop is the retention side of cache persistence: on a
@@ -214,12 +384,133 @@ func (sj *serverJournal) checkpointLoop(p *cachePersister, interval time.Duratio
 	}
 }
 
+// checkpointWriter makes the journal of a server without a snapshot
+// file its own compaction source: it answers each of the journal's
+// checkpoint requests with checkpoint.
+func (sj *serverJournal) checkpointWriter() {
+	defer sj.wg.Done()
+	for {
+		select {
+		case <-sj.stop:
+			return
+		case <-sj.ckptPoke:
+			sj.checkpoint()
+		}
+	}
+}
+
+// checkpoint writes the verdict cache into the journal as one
+// checkpoint, recording the head it read before copying the cache:
+// recordVerdict puts a verdict before appending it, so every verdict at
+// or below that head is in the copy. Once the checkpoint is durable it
+// covers the history up to the previous checkpoint's head — not its own,
+// so a replica pulling this journal's suffix keeps a checkpoint's
+// interval of history above its cursor — and not past a cursor a
+// puller presented recently (coverage). A failed attempt still
+// reports, which releases a writer held in backpressure.
+func (sj *serverJournal) checkpoint() {
+	head := sj.j.LastSeq()
+	chunks := encodeCheckpoint(head, sj.cache.Entries())
+	first, err := sj.j.AppendCheckpoint(chunks)
+	if err != nil {
+		sj.j.SetCovered(sj.j.Covered())
+		return
+	}
+	sj.least.Store(sj.allowed.Load())
+	sj.allowed.Store(sj.last.head)
+	sj.j.SetCovered(sj.coverage())
+	sj.last = ckptMark{head, first, first + uint64(len(chunks)) - 1}
+}
+
+// coverage is what the checkpoints allow, held back to the lowest
+// cursor a puller presented recently — by one checkpoint interval at
+// most, which keeps the journal a few checkpoints long even when a
+// puller falls ever further behind (its next pull then reports a hole).
+func (sj *serverJournal) coverage() uint64 {
+	return max(sj.least.Load(), sj.pulls.cap(sj.allowed.Load()))
+}
+
+// pulled records the cursor an anti-entropy puller presented and, on a
+// server that checkpoints into its journal, releases the coverage that
+// cursor no longer holds back.
+func (sj *serverJournal) pulled(from uint64) {
+	sj.pulls.saw(from)
+	if sj.selfCkpt {
+		sj.j.Cover(sj.coverage())
+	}
+}
+
+// lastIsCurrent reports whether the newest checkpoint still holds the
+// cache as it is: nothing but its chunks was journaled since it copied
+// the cache (or the journal is empty).
+func (sj *serverJournal) lastIsCurrent() bool {
+	l := sj.last
+	return sj.j.Depth() == 0 && (sj.j.LastSeq() == 0 || l.first == l.head+1 && sj.j.LastSeq() == l.end)
+}
+
+// pullFloor tracks the lowest cursor anti-entropy pullers presented to
+// EncodeJournalSuffix in the last one to two pullWindows, so in-journal
+// compaction holds back for history a puller that is still pulling has
+// not read. A puller that stops for longer ages out; its next pull, if
+// any, falls into the hole the journal reports.
+type pullFloor struct {
+	mu       sync.Mutex
+	since    time.Time // start of the current window
+	cur, old uint64    // lowest cursor in the current / previous window
+	curOK    bool
+	oldOK    bool
+}
+
+// roll starts a new window once the current one has run pullWindow.
+func (p *pullFloor) roll(now time.Time) {
+	if now.Sub(p.since) < pullWindow {
+		return
+	}
+	p.old, p.oldOK = p.cur, p.curOK
+	if now.Sub(p.since) >= 2*pullWindow {
+		p.oldOK = false
+	}
+	p.curOK, p.since = false, now
+}
+
+// saw records a cursor a puller presented.
+func (p *pullFloor) saw(from uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.roll(time.Now())
+	if !p.curOK || from < p.cur {
+		p.cur, p.curOK = from, true
+	}
+}
+
+// cap lowers seq to the lowest recent cursor.
+func (p *pullFloor) cap(seq uint64) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.roll(time.Now())
+	if p.curOK {
+		seq = min(seq, p.cur)
+	}
+	if p.oldOK {
+		seq = min(seq, p.old)
+	}
+	return seq
+}
+
 // close stops the checkpoint loop, then drains the journal's writer,
-// then closes the file.
+// then closes the file. A server that checkpoints into its journal
+// checkpoints once more first, as the snapshot file is saved on close:
+// hits are not journaled, so only a checkpoint keeps the recency they
+// earned since the last one. It skips that when nothing but the last
+// checkpoint was journaled since that checkpoint copied the cache: every
+// hit journals its outcome after its lookup.
 func (sj *serverJournal) close() {
 	sj.closeOne.Do(func() {
 		close(sj.stop)
 		sj.wg.Wait()
+		if sj.selfCkpt && !sj.lastIsCurrent() {
+			sj.checkpoint()
+		}
 		sj.j.Close()
 		if sj.file != nil {
 			sj.file.Close()
@@ -434,7 +725,8 @@ func (s *Server) JournalLastSeq() uint64 {
 // sequence numbers above from, capped at max events (≤ 0 means all), in
 // journal event framing. It returns the encoded suffix, the cursor the
 // caller should present next time (the last sequence number the scan
-// covered — non-verdict events advance it without shipping), the number
+// covered — non-verdict events, checkpoint chunks included, advance it
+// without shipping), the number
 // of verdict events shipped, and whether the request fell into a
 // compaction hole: from below the retention horizon means events the
 // cursor expects no longer exist, so the caller must fall back to a
@@ -447,6 +739,7 @@ func (s *Server) EncodeJournalSuffix(from uint64, max int) (b []byte, next uint6
 	if s.journal == nil {
 		return nil, next, 0, false
 	}
+	s.journal.pulled(from)
 	if h := s.journal.j.Horizon(); from < h {
 		// The events in (from, h] were compacted away; an incremental
 		// reply would be a silent gap. Report the hole and where the
@@ -477,11 +770,10 @@ func (s *Server) JournalHorizon() uint64 {
 	return s.journal.j.Horizon()
 }
 
-// CoverJournalTo publishes seq as covered-by-snapshot, making the
-// prefix up to it eligible for compaction. Fleet replicas (journal
-// backends without a cache persister) use it to drive retention from
-// their own snapshot schedule; tests use it to set up compaction
-// deterministically.
+// CoverJournalTo publishes seq as covered, making the prefix up to it
+// eligible for compaction regardless of any checkpoint — tests use it to
+// set up compaction deterministically. Servers cover their journals
+// themselves, from cache snapshots or in-journal checkpoints.
 func (s *Server) CoverJournalTo(seq uint64) {
 	if s.journal != nil {
 		s.journal.j.SetCovered(seq)
@@ -498,11 +790,15 @@ func (s *Server) CompactJournal() journal.RetentionStats {
 }
 
 // VerdictKeysAsOf replays the journal up to seq (inclusive) and returns
-// the cache keys the verdict history had established by then, in event
-// order. It answers "what did this server know as of sequence N" —
-// time-travel debugging over the event-sourced history. Sequences below
-// the compaction horizon return journal.ErrCompacted: that history was
-// retired by retention and can no longer be reconstructed.
+// the cache keys the verdict history had established by then, once each,
+// in fold order: the last complete checkpoint's entries, then the
+// verdicts journaled after it. It answers "what did this server know as
+// of sequence N" — time-travel debugging over the event-sourced history.
+// Sequences below the compaction horizon return journal.ErrCompacted:
+// that history was retired by retention and can no longer be
+// reconstructed. So do sequences a server that checkpoints into its
+// journal can no longer rebuild, between the horizon and the end of the
+// first checkpoint that survived compaction.
 func (s *Server) VerdictKeysAsOf(seq uint64) ([]string, error) {
 	if s.journal == nil {
 		return nil, nil
@@ -512,14 +808,15 @@ func (s *Server) VerdictKeysAsOf(seq uint64) ([]string, error) {
 		return nil, err
 	}
 	var keys []string
-	for _, ev := range evs {
-		if ev.Kind != journal.KindVerdict {
-			continue
-		}
-		var pe persistedEntry
-		if json.Unmarshal(ev.Data, &pe) == nil && pe.Key != "" {
+	seen := make(map[string]bool)
+	mark := foldVerdicts(evs, 0, func(pe persistedEntry) {
+		if !seen[pe.Key] {
+			seen[pe.Key] = true
 			keys = append(keys, pe.Key)
 		}
+	})
+	if h := s.journal.j.Horizon(); h > 0 && mark.head == 0 && s.journal.selfCkpt {
+		return nil, fmt.Errorf("%w: no complete checkpoint between horizon %d and seq %d", journal.ErrCompacted, h, seq)
 	}
 	return keys, nil
 }
