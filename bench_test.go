@@ -22,6 +22,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gcl"
 	"repro/internal/gcl/analysis"
+	"repro/internal/journal"
 	"repro/internal/mc"
 	"repro/internal/ring"
 	"repro/internal/service"
@@ -567,5 +568,75 @@ func BenchmarkServiceCacheMiss(b *testing.B) {
 	}
 	if hits, _ := svc.CacheStats(); hits != 0 {
 		b.Fatalf("%d unexpected cache hits", hits)
+	}
+}
+
+// journalSuffixServer returns a journaled server whose history holds
+// about events events in a replica's mix: each fresh check journals a
+// request, a verdict and an outcome, and each cache hit between them a
+// request and an outcome. The payloads are those of a fleet load
+// generator's selfstab check, each verdict under a distinct key.
+func journalSuffixServer(b *testing.B, events int) *service.Server {
+	b.Helper()
+	seed := service.New(service.Config{Workers: 1, QueueDepth: 4, JournalBackend: journal.NewMemBackend(nil)})
+	defer seed.Close()
+	check, _ := json.Marshal(service.SelfStabRequest{Source: fleet.LoadgenProgram(0)})
+	for range 2 { // a miss, then a hit
+		w := httptest.NewRecorder()
+		seed.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/selfstab", bytes.NewReader(check)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("selfstab: %d: %s", w.Code, w.Body)
+		}
+	}
+	w := httptest.NewRecorder()
+	seed.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/journal", nil))
+	var page service.JournalRangeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
+		b.Fatal(err)
+	}
+	payload := map[string]json.RawMessage{}
+	for _, ev := range page.Events {
+		payload[ev.Kind] = ev.Data
+	}
+	var verdict map[string]json.RawMessage
+	if err := json.Unmarshal(payload[journal.KindVerdict], &verdict); err != nil {
+		b.Fatalf("verdict event: %v", err)
+	}
+
+	var raw []byte
+	seq := uint64(0)
+	add := func(kind string, data []byte) {
+		seq++
+		raw = append(raw, journal.EncodeEvent(journal.Event{Seq: seq, Kind: kind, Data: data})...)
+	}
+	for i := 0; int(seq) < events; i++ {
+		add(journal.KindRequest, payload[journal.KindRequest])
+		if i%2 == 0 {
+			verdict["key"], _ = json.Marshal(fmt.Sprintf("%064x", i))
+			data, _ := json.Marshal(verdict)
+			add(journal.KindVerdict, data)
+		}
+		add(journal.KindOutcome, payload[journal.KindOutcome])
+	}
+	return service.New(service.Config{Workers: 1, QueueDepth: 4, JournalBackend: journal.NewMemBackend(raw)})
+}
+
+// BenchmarkJournalSuffix measures one anti-entropy suffix pull: encoding
+// the next 256 verdicts from a cursor 2k and 20k events behind the
+// journal head. The pull walks the journal in bounded windows, so its
+// cost follows what it ships, not how far the cursor lags.
+func BenchmarkJournalSuffix(b *testing.B) {
+	svc := journalSuffixServer(b, 22_000)
+	defer svc.Close()
+	head := svc.JournalLastSeq()
+	for _, lag := range []uint64{2_000, 20_000} {
+		b.Run(fmt.Sprintf("lag=%dk", lag/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, n, hole := svc.EncodeJournalSuffix(head-lag, 256); n != 256 || hole {
+					b.Fatalf("shipped %d verdicts (hole %v), want 256", n, hole)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -36,5 +38,29 @@ func TestGoldenE1toE18(t *testing.T) {
 			}
 		}
 		t.Fatalf("output has %d lines, recorded run %d", len(gl), len(wl))
+	}
+}
+
+// TestGoldenE19 runs E19 and compares its -json rendering, as
+// cmd/experiments prints it, byte for byte with the recorded
+// BENCH_fleet.json. E19's fleets run with hedging off and manual
+// anti-entropy rounds, so the report is deterministic; a change that
+// moves a row regenerates the file with make bench-fleet on purpose.
+func TestGoldenE19(t *testing.T) {
+	if testing.Short() {
+		t.Skip("E19 runs in-process fleets")
+	}
+	want, err := os.ReadFile("../../BENCH_fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode([]*Report{E19Fleet()}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("E19 differs from BENCH_fleet.json:\n got: %s\nwant: %s", got.Bytes(), want)
 	}
 }

@@ -19,6 +19,16 @@ import (
 // a partitioned or crashed peer costs one failed round, never a wedged
 // loop — and after a heal, the verdicts computed on the other side of
 // the cut diffuse back in O(log N) rounds.
+//
+// Pulled verdicts are warmth, not history, and nothing but a restart
+// empties a cache, so a replica whose cache is full could only decode
+// a pull and drop it. It skips its rounds instead: no RPC, no digest
+// key list, no decode. Since it presents no cursor, its peers stop
+// holding their compaction back for it. The round still counts, so a
+// replica whose own traffic or replay filled its cache still becomes
+// ready. A replica with room pulls up to maxPullPerRound verdicts a
+// round, so the round before its cache fills overshoots by at most
+// that many.
 
 // aeLoop runs periodic anti-entropy rounds. A negative interval means
 // manual mode (rounds run only via AntiEntropyRound); the loop exits
@@ -46,14 +56,15 @@ func (rp *Replica) aeLoop(stop chan struct{}) {
 // peer in round-robin order. It returns the number of entries pulled.
 // A fleet of one (or a fully partitioned replica) completes the round
 // trivially — with no reachable peer there is nothing to reconcile, so
-// the replica still becomes ready.
+// the replica still becomes ready — and so does a replica whose cache
+// has no free slot, which could keep nothing it pulled.
 func (rp *Replica) AntiEntropyRound() int {
 	svc := rp.Service()
 	if svc == nil {
 		return 0
 	}
 	live := rp.livePeers()
-	if len(live) == 0 {
+	if len(live) == 0 || svc.CacheFree() == 0 {
 		rp.finishRound()
 		return 0
 	}

@@ -82,6 +82,7 @@ type Replica struct {
 	aePulled        atomic.Int64 // entries pulled by anti-entropy
 	aeJournalRounds atomic.Int64 // rounds served by journal suffixes
 	aeJournalHoles  atomic.Int64 // cursors caught below a peer's compaction horizon
+	aeServed        atomic.Int64 // digest and journal pulls served to peers
 
 	hedgesFired      atomic.Int64 // forwards that tripped the hedge timer
 	hedgeLocalWins   atomic.Int64 // hedged races local compute won
@@ -523,6 +524,7 @@ type FleetzStatus struct {
 	AEPulled        int64 `json:"ae_pulled"`
 	AEJournalRounds int64 `json:"ae_journal_rounds"`
 	AEJournalHoles  int64 `json:"ae_journal_holes"`
+	AEServed        int64 `json:"ae_served"`
 
 	// Failure-domain hardening counters (see breaker.go / hedge.go).
 	Breakers         map[string]string `json:"breakers,omitempty"` // peer id → breaker state
@@ -588,6 +590,7 @@ func (rp *Replica) Status() FleetzStatus {
 		AEPulled:        rp.aePulled.Load(),
 		AEJournalRounds: rp.aeJournalRounds.Load(),
 		AEJournalHoles:  rp.aeJournalHoles.Load(),
+		AEServed:        rp.aeServed.Load(),
 	}
 	res := rp.resilienceSnapshot()
 	st.Breakers = res.BreakerStates

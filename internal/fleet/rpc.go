@@ -288,8 +288,10 @@ func (rp *Replica) handleRPC(req rpcRequest) rpcReply {
 	case "forward":
 		return rp.handleForward(req)
 	case "digest":
+		rp.aeServed.Add(1)
 		return rp.handleDigest(req)
 	case "journal":
+		rp.aeServed.Add(1)
 		return rp.handleJournalSuffix(req)
 	}
 	return rpcReply{Err: fmt.Sprintf("unknown op %q", req.Op)}

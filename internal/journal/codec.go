@@ -49,7 +49,7 @@ type Stats struct {
 // EncodeEvent frames one event in the store's SNP1 record format: the
 // sequence number in the generation field, the kind + data as a JSON
 // payload, CRC32 over the lot.
-func EncodeEvent(ev Event) []byte { return appendEvent(nil, ev) }
+func EncodeEvent(ev Event) []byte { return AppendEvent(nil, ev) }
 
 // bodyEncoder is a reusable JSON encoder for event bodies; the writer
 // frames every batch through one, so a commit allocates only its output.
@@ -64,8 +64,9 @@ var bodyEncoders = sync.Pool{New: func() any {
 	return e
 }}
 
-// appendEvent appends EncodeEvent(ev) to dst.
-func appendEvent(dst []byte, ev Event) []byte {
+// AppendEvent appends EncodeEvent(ev) to dst, so a caller framing many
+// events grows one buffer.
+func AppendEvent(dst []byte, ev Event) []byte {
 	e := bodyEncoders.Get().(*bodyEncoder)
 	defer bodyEncoders.Put(e)
 	e.buf.Reset()

@@ -23,6 +23,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -274,21 +276,20 @@ func (j *Journal) enqueue(r appendReq) error {
 }
 
 // Events returns a copy of the durable events with Seq ≥ from, oldest
-// first. from = 0 (or 1) returns the full history.
-func (j *Journal) Events(from uint64) []Event {
+// first, through the head. from = 0 (or 1) returns the full history.
+// Readers that need only a bounded run use Window.
+func (j *Journal) Events(from uint64) []Event { return j.Window(from, math.MaxInt) }
+
+// Window returns a copy of at most n durable events with Seq ≥ from,
+// oldest first: O(n) however far from lies behind the head. It copies
+// the headers under the lock rather than alias the history, because
+// compaction clears dropped entries in place; the payloads are shared
+// and immutable.
+func (j *Journal) Window(from uint64, n int) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Binary search over the (sorted, possibly gapped) history.
-	lo, hi := 0, len(j.events)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.events[mid].Seq < from {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	out := make([]Event, len(j.events)-lo)
+	lo := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq >= from })
+	out := make([]Event, min(n, len(j.events)-lo))
 	copy(out, j.events[lo:])
 	return out
 }
@@ -364,7 +365,7 @@ func (j *Journal) commit(batch []appendReq) (int64, error) {
 	for i, r := range batch {
 		events[i] = Event{Seq: base + uint64(i) + 1, Kind: r.kind, Data: r.data}
 		starts[i] = int64(len(buf))
-		buf = appendEvent(buf, events[i])
+		buf = AppendEvent(buf, events[i])
 		ends[i] = len(buf)
 	}
 	// A frame ends with the data, the body's closing brace and the CRC.

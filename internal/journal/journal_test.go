@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -349,5 +350,57 @@ func TestEncodeEventFramesOnStoreRecord(t *testing.T) {
 	var body eventBody
 	if err := json.Unmarshal(payload, &body); err != nil || body.Kind != KindCampaign {
 		t.Fatalf("payload %s: %v", payload, err)
+	}
+}
+
+// TestJournalWindowBounds pins Window's bounds on a gapped history that
+// starts above 1: from below the first event, inside a sequence gap and
+// at the head, with n capping the copy. A window is a copy, so a later
+// compaction does not reach it.
+func TestJournalWindowBounds(t *testing.T) {
+	var raw []byte
+	for _, seq := range []uint64{4, 5, 6, 10, 11, 12} {
+		raw = append(raw, EncodeEvent(Event{Seq: seq, Kind: KindVerdict, Data: json.RawMessage(fmt.Sprintf(`{"s":%d}`, seq))})...)
+	}
+	j, err := Open(NewMemBackend(raw), Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer j.Close()
+	seqs := func(evs []Event) []uint64 {
+		out := make([]uint64, len(evs))
+		for i, ev := range evs {
+			out[i] = ev.Seq
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		from uint64
+		n    int
+		want []uint64
+	}{
+		{0, 100, []uint64{4, 5, 6, 10, 11, 12}}, // below the first event
+		{2, 2, []uint64{4, 5}},                  // n caps the copy
+		{7, 100, []uint64{10, 11, 12}},          // inside the gap 7..9
+		{9, 1, []uint64{10}},
+		{12, 100, []uint64{12}}, // the head
+		{13, 100, []uint64{}},   // past the head
+		{5, 0, []uint64{}},
+	} {
+		if got := seqs(j.Window(tc.from, tc.n)); !slices.Equal(got, tc.want) {
+			t.Errorf("Window(%d, %d) = %v, want %v", tc.from, tc.n, got, tc.want)
+		}
+	}
+
+	w := j.Window(0, 3)
+	j.SetCovered(6)
+	if st := j.Compact(); st.HorizonSeq != 6 {
+		t.Fatalf("horizon after compaction = %d, want 6", st.HorizonSeq)
+	}
+	if got := seqs(w); !slices.Equal(got, []uint64{4, 5, 6}) || string(w[0].Data) != `{"s":4}` {
+		t.Fatalf("window taken before compaction = %v (%s), want 4,5,6 intact", got, w[0].Data)
+	}
+	if got := seqs(j.Window(0, 100)); !slices.Equal(got, []uint64{10, 11, 12}) {
+		t.Fatalf("Window(0, 100) after compaction = %v, want 10,11,12", got)
 	}
 }

@@ -220,18 +220,14 @@ func (j *Journal) ReplayTo(seq uint64) ([]Event, error) {
 	if h := j.horizon.Load(); seq < h {
 		return nil, fmt.Errorf("%w: seq %d < horizon %d", ErrCompacted, seq, h)
 	}
-	evs := j.Events(0)
-	// Binary search for the first event above seq.
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if evs[mid].Seq <= seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return evs[:lo], nil
+	// Size the copy under the lock, then trim: a compaction between the
+	// two reads only shortens the prefix, so the window may reach past
+	// seq but never stops short of it.
+	j.mu.Lock()
+	n := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq > seq })
+	j.mu.Unlock()
+	evs := j.Window(0, n)
+	return evs[:sort.Search(len(evs), func(i int) bool { return evs[i].Seq > seq })], nil
 }
 
 // retentionHorizon computes the highest droppable sequence number:
@@ -319,7 +315,7 @@ func (j *Journal) cutPrefix(rb ReplaceBackend, lo int) (int64, error) {
 	offs := make([]int64, 0, len(j.events)-lo)
 	for _, ev := range j.events[lo:] {
 		offs = append(offs, int64(len(buf)))
-		buf = appendEvent(buf, ev)
+		buf = AppendEvent(buf, ev)
 	}
 	if err := rb.Replace(buf); err != nil {
 		return 0, err

@@ -121,6 +121,15 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
+// Free returns how many entries fit before the cache is full: capacity
+// minus Len, and 0 when caching is disabled. Nothing removes entries
+// except eviction on Put, so once Free reaches 0 it stays there.
+func (c *Cache) Free() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return max(c.capacity-c.ll.Len(), 0)
+}
+
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -88,3 +88,28 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("capacity exceeded: %d", c.Len())
 	}
 }
+
+// TestCacheFree: Free counts the slots left before the cache is full,
+// through Put and PutCold alike, stays 0 once eviction starts, and is 0
+// for a disabled cache.
+func TestCacheFree(t *testing.T) {
+	c := New(3)
+	if got := c.Free(); got != 3 {
+		t.Fatalf("empty cache Free = %d, want 3", got)
+	}
+	c.Put("a", 1)
+	c.PutCold("b", 2)
+	if got := c.Free(); got != 1 {
+		t.Fatalf("Free after two entries = %d, want 1", got)
+	}
+	c.Put("c", 3)
+	c.Put("d", 4) // evicts
+	if got := c.Free(); got != 0 {
+		t.Fatalf("full cache Free = %d, want 0", got)
+	}
+	for _, capacity := range []int{0, -1} {
+		if got := New(capacity).Free(); got != 0 {
+			t.Fatalf("New(%d).Free() = %d, want 0", capacity, got)
+		}
+	}
+}

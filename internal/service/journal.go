@@ -687,7 +687,8 @@ func (s *Server) handleJournalRange(w http.ResponseWriter, r *http.Request) {
 		LastSeq: last,
 		Events:  []journalEventView{}, // render [] rather than null
 	}
-	for _, ev := range s.journal.j.Events(from) {
+	// One event past the page tells a full page from a truncated one.
+	for _, ev := range s.journal.j.Window(from, journalQueryMaxEvents+1) {
 		if ev.Seq > to {
 			break
 		}
@@ -721,6 +722,12 @@ func (s *Server) JournalLastSeq() uint64 {
 	return s.journal.j.LastSeq()
 }
 
+// suffixWindow is how many event headers EncodeJournalSuffix copies out
+// of the journal at a time. A replica journals a request and an outcome
+// per check and a verdict per miss, so a 256-verdict pull spans two or
+// three windows.
+const suffixWindow = 512
+
 // EncodeJournalSuffix renders this server's verdict events with
 // sequence numbers above from, capped at max events (≤ 0 means all), in
 // journal event framing. It returns the encoded suffix, the cursor the
@@ -746,18 +753,24 @@ func (s *Server) EncodeJournalSuffix(from uint64, max int) (b []byte, next uint6
 		// journal now begins so the caller can digest-sync and resume.
 		return nil, h, 0, true
 	}
-	var buf bytes.Buffer
-	for _, ev := range s.journal.j.Events(from + 1) {
-		if ev.Kind == journal.KindVerdict {
-			if max > 0 && n >= max {
-				break // ship the rest from this cursor next round
+	// Walk the journal a window at a time, so a pull copies and scans
+	// about as many events as it ships, however far the cursor lags.
+	for {
+		win := s.journal.j.Window(next+1, suffixWindow)
+		for _, ev := range win {
+			if ev.Kind == journal.KindVerdict {
+				if max > 0 && n >= max {
+					return b, next, n, false // ship the rest from this cursor next round
+				}
+				b = journal.AppendEvent(b, ev)
+				n++
 			}
-			buf.Write(journal.EncodeEvent(ev))
-			n++
+			next = ev.Seq
 		}
-		next = ev.Seq
+		if len(win) < suffixWindow {
+			return b, next, n, false
+		}
 	}
-	return buf.Bytes(), next, n, false
 }
 
 // JournalHorizon returns the compaction horizon: the highest sequence

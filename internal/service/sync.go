@@ -20,6 +20,11 @@ func (s *Server) CacheKeys() []string {
 	return keys
 }
 
+// CacheFree returns how many verdicts the cache can take before it is
+// full. Anti-entropy pulls load only into free slots, so a puller with
+// none has nothing to gain from a round.
+func (s *Server) CacheFree() int { return s.cache.Free() }
+
 // EncodeCacheEntriesFor renders up to max of the named cache entries in
 // snapshot framing (max ≤ 0 means all). Keys not present (evicted since
 // the digest) are silently skipped — anti-entropy is best-effort.

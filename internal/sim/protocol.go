@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/gcl"
 	"repro/internal/ring"
@@ -116,7 +117,8 @@ func CheckFamily(family string, p, k int) error {
 // NewProtocol builds a protocol family by name with p processes from its
 // ring template, compiled at p processes or, past layoutFrom, at
 // layoutFrom and laid out on p; k is the counter modulus and matters only
-// to kstate. Out-of-range parameters are an error, not a panic, so
+// to kstate. The compiled template is cached, so a repeated build only
+// lays it out. Out-of-range parameters are an error, not a panic, so
 // callers can pass user input straight through.
 func NewProtocol(family string, p, k int) (*Protocol, error) {
 	if err := CheckFamily(family, p, k); err != nil {
@@ -125,24 +127,85 @@ func NewProtocol(family string, p, k int) (*Protocol, error) {
 	name := fmt.Sprintf("%s(P=%d)", family, p)
 	if family == "kstate" {
 		name = fmt.Sprintf("kstate(P=%d,K=%d)", p, k)
+	} else {
+		k = 0 // the other families have no modulus: one template serves every k
 	}
-	proto, err := compile(name, families[family](min(p, layoutFrom)-1, k), tableBudget)
-	if err == nil && p > layoutFrom {
+	tmpl, err := templates.get(templateKey{family, min(p, layoutFrom), k}, name)
+	if err != nil {
+		return nil, err
+	}
+	proto := *tmpl
+	proto.name = name
+	if p > layoutFrom {
 		proto.stretch(p)
 	}
-	return proto, err
+	return &proto, nil
 }
 
 // stretch lays a protocol compiled at layoutFrom processes out on a ring
 // of procs ≥ layoutFrom: the two processes at each end are the
 // template's, and every process between them is the template's middle
-// process 2.
+// process 2. It builds a new process list, so the template it was
+// copied from stays as it is.
 func (p *Protocol) stretch(procs int) {
 	ring := make([]*process, procs)
 	for i := range ring {
 		ring[i] = p.procs[max(min(i, 2), i-procs+layoutFrom)]
 	}
 	p.procs = ring
+}
+
+// templateKey names one compiled template: a family compiled at size
+// processes with modulus k (0 for the families that have none).
+type templateKey struct {
+	family string
+	size   int
+	k      int
+}
+
+// maxTemplates bounds the template cache. A K-state template's tables
+// hold at most tableBudget entries (640 KiB), so the cache holds at
+// most about 10 MiB however many moduli requests name.
+const maxTemplates = 16
+
+// templateCache keeps the most recently built templates, so a service
+// that builds a protocol per request compiles and tabulates each
+// (family, size, k) once. A Protocol is read-only after construction,
+// so every protocol built from a template shares its tables.
+type templateCache struct {
+	mu    sync.Mutex
+	byKey map[templateKey]*Protocol
+	order []templateKey // insertion order, oldest first
+}
+
+var templates = templateCache{byKey: make(map[templateKey]*Protocol)}
+
+// get returns the template for key, compiling it under name on a miss.
+// Two concurrent misses on one key may both compile; the second keeps
+// the first's template.
+func (c *templateCache) get(key templateKey, name string) (*Protocol, error) {
+	c.mu.Lock()
+	t, ok := c.byKey[key]
+	c.mu.Unlock()
+	if ok {
+		return t, nil
+	}
+	t, err := compile(name, families[key.family](key.size-1, key.k), tableBudget)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if have, ok := c.byKey[key]; ok {
+		return have, nil
+	}
+	if len(c.order) == maxTemplates {
+		delete(c.byKey, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.byKey[key] = t
+	c.order = append(c.order, key)
+	return t, nil
 }
 
 // compile builds the protocol of a GCL ring program, lowered with at

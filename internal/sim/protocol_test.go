@@ -353,3 +353,47 @@ func TestKStateClosuresMatchEval(t *testing.T) {
 		}
 	}
 }
+
+// TestNewProtocolSharesTemplate: rings built from one (family, size, k)
+// share the cached template's tables, and laying a large ring out does
+// not change the template a smaller ring is built from.
+func TestNewProtocolSharesTemplate(t *testing.T) {
+	big, small, again := newProto("kstate", 128, 97), newProto("kstate", 5, 97), newProto("kstate", 9, 97)
+	for _, tc := range []struct {
+		proto *Protocol
+		procs int
+		name  string
+	}{{big, 128, "kstate(P=128,K=97)"}, {small, 5, "kstate(P=5,K=97)"}, {again, 9, "kstate(P=9,K=97)"}} {
+		if tc.proto.Procs() != tc.procs || tc.proto.Name() != tc.name {
+			t.Errorf("got %s with %d processes, want %s with %d", tc.proto.Name(), tc.proto.Procs(), tc.name, tc.procs)
+		}
+	}
+	if &big.entries[0] != &small.entries[0] || &big.entries[0] != &again.entries[0] {
+		t.Error("protocols built from one template do not share its tables")
+	}
+	if other := newProto("kstate", 128, 98); &other.entries[0] == &big.entries[0] {
+		t.Error("protocols with different moduli share tables")
+	}
+	if d3, d3k := newProto("dijkstra3", 7, 0), newProto("dijkstra3", 7, 5); &d3.entries[0] != &d3k.entries[0] {
+		t.Error("a modulus a family does not read split its template")
+	}
+
+	// Concurrent builds over more moduli than the cache holds, so
+	// templates are evicted while others are being laid out.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 2; k < 2+2*maxTemplates; k++ {
+				p := 5 + (k+g)%4
+				proto, err := NewProtocol("kstate", p, k)
+				if err != nil || proto.Procs() != p || proto.Name() != fmt.Sprintf("kstate(P=%d,K=%d)", p, k) {
+					t.Errorf("kstate P=%d K=%d: got %v, %v", p, k, proto, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
